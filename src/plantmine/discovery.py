@@ -13,7 +13,7 @@ from enum import Enum
 
 from .errors import EmptyLog, EmptyTrace, NoBoundary, UnknownAction
 from .eventlog import Trace, TraceSet, collapse_duplicate_traces
-from .petri import Marking, PetriNet, _io_maps
+from .petri import Marking, PetriNet
 
 SOURCE_PLACE = "source"
 SINK_PLACE = "sink"
@@ -52,11 +52,6 @@ class FootprintMatrix:
         if ba:
             return Relation.REVERSE
         return Relation.UNRELATED
-
-    @property
-    def relations(self) -> dict[tuple[str, str], Relation]:
-        return {(a, b): self.relation(a, b)
-                for a in self.alphabet for b in self.alphabet}
 
 
 def footprint(traces: TraceSet) -> FootprintMatrix:
@@ -183,17 +178,17 @@ def replay_trace(net: PetriNet, trace: Trace) -> ReplayResult:
         if action not in transitions:
             raise UnknownAction(action)
 
-    inputs, outputs = _io_maps(net)
     counts: dict[str, int] = {net.source: 1}
     missing = 0
     for action in trace.actions:
-        for p in inputs[action]:
+        inputs = net.preset(action)
+        for p in inputs:
             if counts.get(p, 0) < 1:
                 missing += 1
                 counts[p] = counts.get(p, 0) + 1
-        for p in inputs[action]:
+        for p in inputs:
             counts[p] -= 1
-        for p in outputs[action]:
+        for p in net.postset(action):
             counts[p] = counts.get(p, 0) + 1
     final = Marking.of(counts)
     remaining = sum(c for p, c in final.tokens if p != net.sink)

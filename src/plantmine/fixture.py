@@ -122,7 +122,7 @@ def rest_position_marking(net: PetriNet, control_action: str = "EXT") -> Marking
     identified structurally as the unique place whose postset contains the
     given control transition.
     """
-    feeders = [p for p, t in net.arcs if t == control_action and p in set(net.places)]
+    feeders = net.preset(control_action) if control_action in net.transitions else ()
     if len(feeders) != 1:
         raise MarkingRequired()
     return Marking.of({feeders[0]: 1})

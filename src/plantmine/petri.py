@@ -7,7 +7,7 @@ the alpha miner ever produces.  Transition ids double as their action labels.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 from xml.sax.saxutils import quoteattr
 
@@ -58,6 +58,8 @@ class PetriNet:
     arcs: tuple[tuple[str, str], ...] = ()
     source: str | None = None
     sink: str | None = None
+    _presets: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _postsets: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "places", tuple(sorted(set(self.places))))
@@ -67,53 +69,47 @@ class PetriNet:
         place_set, transition_set = set(self.places), set(self.transitions)
         if place_set & transition_set:
             raise ValueError(f"place/transition id clash: {place_set & transition_set}")
+        # Arcs are sorted, so each preset and postset is sorted too.
+        presets: dict[str, list[str]] = {}
+        postsets: dict[str, list[str]] = {}
         for src, dst in arcs:
             ok = (src in place_set and dst in transition_set) or \
                  (src in transition_set and dst in place_set)
             if not ok:
                 raise ValueError(f"arc ({src!r}, {dst!r}) does not join a place and a transition")
+            presets.setdefault(dst, []).append(src)
+            postsets.setdefault(src, []).append(dst)
         for designated in (self.source, self.sink):
             if designated is not None and designated not in place_set:
                 raise ValueError(f"designated place {designated!r} is not in the net")
+        object.__setattr__(self, "_presets", {n: tuple(v) for n, v in presets.items()})
+        object.__setattr__(self, "_postsets", {n: tuple(v) for n, v in postsets.items()})
 
     def preset(self, node: str) -> tuple[str, ...]:
-        return tuple(src for src, dst in self.arcs if dst == node)
+        return self._presets.get(node, ())
 
     def postset(self, node: str) -> tuple[str, ...]:
-        return tuple(dst for src, dst in self.arcs if src == node)
-
-
-def _io_maps(net: PetriNet) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """Input and output places per transition (arcs are kept sorted, so these are too)."""
-    inputs: dict[str, list[str]] = {t: [] for t in net.transitions}
-    outputs: dict[str, list[str]] = {t: [] for t in net.transitions}
-    for src, dst in net.arcs:
-        if dst in inputs:
-            inputs[dst].append(src)
-        else:
-            outputs[src].append(dst)
-    return inputs, outputs
+        return self._postsets.get(node, ())
 
 
 def enabled_transitions(net: PetriNet, marking: Marking) -> tuple[str, ...]:
     """Transitions whose every input place holds at least one token, sorted by id."""
-    inputs, _ = _io_maps(net)
     counts = marking.as_dict()
     return tuple(t for t in net.transitions
-                 if all(counts.get(p, 0) >= 1 for p in inputs[t]))
+                 if all(counts.get(p, 0) >= 1 for p in net.preset(t)))
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     """Fire one enabled transition: consume a token per input place, produce one per output."""
-    inputs, outputs = _io_maps(net)
-    if transition not in inputs:
+    if transition not in net.transitions:
         raise NotEnabled(transition)
     counts = marking.as_dict()
-    if any(counts.get(p, 0) < 1 for p in inputs[transition]):
+    inputs = net.preset(transition)
+    if any(counts.get(p, 0) < 1 for p in inputs):
         raise NotEnabled(transition)
-    for p in inputs[transition]:
+    for p in inputs:
         counts[p] -= 1
-    for p in outputs[transition]:
+    for p in net.postset(transition):
         counts[p] = counts.get(p, 0) + 1
     return Marking.of(counts)
 
@@ -140,11 +136,7 @@ def default_initial_marking(net: PetriNet) -> Marking:
     Cyclic nets have no such place; they need an explicit marking choice, so
     this raises :class:`MarkingRequired` rather than guessing one.
     """
-    fed: set[str] = set()
-    for src, dst in net.arcs:
-        if dst in set(net.places):
-            fed.add(dst)
-    sourceless = [p for p in net.places if p not in fed]
+    sourceless = [p for p in net.places if not net.preset(p)]
     if not sourceless:
         raise MarkingRequired()
     return Marking.of({p: 1 for p in sourceless})
@@ -173,8 +165,6 @@ def reachability_graph(net: PetriNet, initial: Marking,
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    inputs, outputs = _io_maps(net)
-
     nodes: list[Marking] = [initial]
     seen: set[Marking] = {initial}
     edges: list[tuple[Marking, str, Marking]] = []
@@ -183,12 +173,13 @@ def reachability_graph(net: PetriNet, initial: Marking,
         marking = queue.popleft()
         counts = marking.as_dict()
         for t in net.transitions:
-            if not all(counts.get(p, 0) >= 1 for p in inputs[t]):
+            inputs = net.preset(t)
+            if not all(counts.get(p, 0) >= 1 for p in inputs):
                 continue
             after = dict(counts)
-            for p in inputs[t]:
+            for p in inputs:
                 after[p] -= 1
-            for p in outputs[t]:
+            for p in net.postset(t):
                 after[p] = after.get(p, 0) + 1
             succ = Marking.of(after)
             if succ not in seen:

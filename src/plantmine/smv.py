@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatch, SmvUnsupported, UnknownAtom
+from .errors import SmvUnsupported, UnknownAtom
 from .transform import FunctionBlock
 from .verify import (AF, AG, AU, EF, EG, EU, EX, AX, And, Atom, Const, Formula,
-                     ControllerFSM, Implies, Not, Or)
+                     ControllerFSM, Implies, Not, Or, _check_wiring)
 
 # NuSMV 2.6 keywords plus the identifiers this emitter claims for itself.
 _RESERVED = {
@@ -211,12 +211,7 @@ def emit_closed_loop(fb: FunctionBlock, ctl: ControllerFSM,
     event claimed in the same direction by both sides is rejected, everything
     else composes.
     """
-    same_direction_out = set(ctl.outputs) & set(fb.event_outputs)
-    same_direction_in = set(ctl.inputs) & set(fb.event_inputs)
-    if same_direction_out or same_direction_in:
-        raise AlphabetMismatch(
-            f"events claimed in the same direction by both sides: "
-            f"outputs {sorted(same_direction_out)}, inputs {sorted(same_direction_in)}")
+    _check_wiring(fb, ctl)
 
     events = sorted(set(fb.event_inputs) | set(fb.event_outputs)
                     | set(ctl.inputs) | set(ctl.outputs))

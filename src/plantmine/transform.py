@@ -11,14 +11,14 @@ labeling is what the closed-loop safety property is checked against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
 from .errors import InconsistentLabeling, ParseError, UnmappedAction
-from .petri import ReachabilityGraph
-
-NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+from .eventlog import NAME_RE
+from .petri import ReachabilityGraph, _dot_quote
 
 # Guard marker for spontaneous transitions in the FB text format.
 NDT_GUARD = "NDT"
@@ -38,23 +38,26 @@ class ActionMap:
     """
 
     entries: tuple[tuple[str, ActionKind, tuple[str, bool] | None], ...]
+    _by_action: dict[str, tuple[ActionKind, tuple[str, bool] | None]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries",
                            tuple(sorted(self.entries,
                                         key=lambda e: (e[0], e[1].value, str(e[2])))))
-        seen = set()
+        by_action = {}
         for action, kind, effect in self.entries:
             if not NAME_RE.match(action) or action == NDT_GUARD:
                 raise ValueError(f"invalid action name {action!r}")
-            if action in seen:
+            if action in by_action:
                 raise ValueError(f"action {action!r} classified twice")
-            seen.add(action)
+            by_action[action] = (kind, effect)
             if kind is ActionKind.SENSOR:
                 if effect is None or not NAME_RE.match(effect[0]):
                     raise ValueError(f"sensor action {action!r} needs a variable effect")
             elif effect is not None:
                 raise ValueError(f"control action {action!r} cannot carry an effect")
+        object.__setattr__(self, "_by_action", by_action)
 
     @classmethod
     def of(cls, control: tuple[str, ...] = (),
@@ -65,19 +68,14 @@ class ActionMap:
         return cls(tuple(entries))
 
     def kind(self, action: str) -> ActionKind:
-        for name, kind, _ in self.entries:
-            if name == action:
-                return kind
-        raise UnmappedAction(action)
+        if action not in self._by_action:
+            raise UnmappedAction(action)
+        return self._by_action[action][0]
 
     def effect(self, action: str) -> tuple[str, bool]:
-        for name, kind, effect in self.entries:
-            if name == action:
-                if kind is not ActionKind.SENSOR:
-                    raise ValueError(f"{action!r} is not a sensor action")
-                assert effect is not None
-                return effect
-        raise UnmappedAction(action)
+        if self.kind(action) is not ActionKind.SENSOR:
+            raise ValueError(f"{action!r} is not a sensor action")
+        return self._by_action[action][1]
 
     @property
     def actions(self) -> tuple[str, ...]:
@@ -115,17 +113,6 @@ def parse_action_map(text: str) -> ActionMap:
         return ActionMap(tuple(entries))
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
-
-
-def export_action_map(amap: ActionMap) -> str:
-    lines = []
-    for action, kind, effect in amap.entries:
-        if kind is ActionKind.CONTROL:
-            lines.append(f"{action}: control")
-        else:
-            assert effect is not None
-            lines.append(f"{action}: sensor {effect[0]}={'true' if effect[1] else 'false'}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -203,6 +190,9 @@ class FunctionBlock:
     states: tuple[EccState, ...]
     initial_state: str
     transitions: tuple[tuple[str, str | None, str], ...]
+    _by_name: dict[str, EccState] = field(init=False, repr=False, compare=False)
+    _targets: dict[tuple[str, str | None], tuple[str, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "event_inputs", tuple(sorted(set(self.event_inputs))))
@@ -217,31 +207,32 @@ class FunctionBlock:
             raise ValueError(f"invalid block name {self.name!r}")
         if set(self.event_inputs) & set(self.event_outputs):
             raise ValueError("event inputs and outputs overlap")
-        names = [s.name for s in self.states]
-        if len(set(names)) != len(names):
+        by_name = {s.name: s for s in self.states}
+        if len(by_name) != len(self.states):
             raise ValueError("duplicate EC state names")
-        state_set = set(names)
-        if self.initial_state not in state_set:
+        if self.initial_state not in by_name:
             raise ValueError(f"initial state {self.initial_state!r} missing")
         for state in self.states:
             if not NAME_RE.match(state.name):
                 raise ValueError(f"invalid state name {state.name!r}")
             if state.emission is not None and state.emission not in self.event_outputs:
                 raise ValueError(f"state {state.name!r} emits unknown event")
+        # Transitions are sorted, so each target tuple is sorted too.
+        targets: dict[tuple[str, str | None], list[str]] = {}
         for src, guard, dst in transitions:
-            if src not in state_set or dst not in state_set:
+            if src not in by_name or dst not in by_name:
                 raise ValueError(f"transition ({src}, {guard}, {dst}) has unknown endpoint")
             if guard is not None:
                 if guard not in self.event_inputs:
                     raise ValueError(f"guard {guard!r} is not an event input")
-                if self.state(dst).emission is not None:
+                if by_name[dst].emission is not None:
                     raise ValueError(f"input-guarded transition targets emitting state {dst!r}")
+            targets.setdefault((src, guard), []).append(dst)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_targets", {key: tuple(dsts) for key, dsts in targets.items()})
 
     def state(self, name: str) -> EccState:
-        for state in self.states:
-            if state.name == name:
-                return state
-        raise KeyError(name)
+        return self._by_name[name]
 
     def emission(self, name: str) -> str | None:
         return self.state(name).emission
@@ -254,12 +245,10 @@ class FunctionBlock:
         return tuple(sorted({var for s in self.states for var, _ in s.valuation}))
 
     def ndt_edges(self, source: str) -> tuple[str, ...]:
-        return tuple(dst for src, guard, dst in self.transitions
-                     if src == source and guard is None)
+        return self._targets.get((source, None), ())
 
     def control_edges(self, source: str, guard: str) -> tuple[str, ...]:
-        return tuple(dst for src, g, dst in self.transitions
-                     if src == source and g == guard)
+        return self._targets.get((source, guard), ())
 
 
 def _canon_valuation(valuation: Mapping[str, bool]) -> tuple[tuple[str, bool], ...]:
@@ -331,9 +320,9 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
 
     valuations: dict[str, tuple[tuple[str, bool], ...]] = {
         fsm.initial: _canon_valuation(initial_valuation)}
-    queue = [fsm.initial]
+    queue = deque([fsm.initial])
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         base = dict(valuations[current])
         for _, dst in outgoing[current]:
             derived = dict(base)
@@ -434,16 +423,13 @@ def parse_fb(text: str) -> FunctionBlock:
 
 def export_fb_dot(fb: FunctionBlock) -> str:
     """DOT rendering of the ECC; spontaneous transitions are dashed."""
-    def quote(s: str) -> str:
-        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
     lines = ["digraph ecc {", "  rankdir=LR;"]
     for state in fb.states:
         label = state.name if state.emission is None else f"{state.name} / {state.emission}"
         shape = ' peripheries=2' if state.name == fb.initial_state else ""
-        lines.append(f"  {quote(state.name)} [label={quote(label)}{shape}];")
+        lines.append(f"  {_dot_quote(state.name)} [label={_dot_quote(label)}{shape}];")
     for src, guard, dst in fb.transitions:
-        style = f"label={quote(guard)}" if guard else 'label="NDT" style=dashed'
-        lines.append(f"  {quote(src)} -> {quote(dst)} [{style}];")
+        style = f"label={_dot_quote(guard)}" if guard else 'label="NDT" style=dashed'
+        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 from .errors import (AlphabetMismatch, NondeterministicController, ParseError,
                      UndeclaredEvent, UnknownAtom)
+from .eventlog import NAME_RE
 from .transform import FunctionBlock
 
 STUTTER = "stutter"
@@ -34,6 +35,8 @@ class ControllerFSM:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     transitions: tuple[tuple[str, str, str | None, str], ...]
+    _table: dict[tuple[str, str], tuple[str | None, str]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.states))
@@ -49,7 +52,7 @@ class ControllerFSM:
             raise ValueError(f"initial state {self.initial!r} not declared")
         if set(self.inputs) & set(self.outputs):
             raise ValueError("controller inputs and outputs overlap")
-        seen = set()
+        table = {}
         for state, event, output, target in self.transitions:
             if state not in state_set or target not in state_set:
                 raise ValueError(f"transition references unknown state: {state}->{target}")
@@ -57,16 +60,14 @@ class ControllerFSM:
                 raise UndeclaredEvent(event)
             if output is not None and output not in self.outputs:
                 raise UndeclaredEvent(output)
-            if (state, event) in seen:
+            if (state, event) in table:
                 raise NondeterministicController(state, event)
-            seen.add((state, event))
+            table[state, event] = (output, target)
+        object.__setattr__(self, "_table", table)
 
     def step(self, state: str, event: str) -> tuple[str | None, str] | None:
         """Output event (or None) and target state, or None when the event is ignored."""
-        for src, trigger, output, target in self.transitions:
-            if src == state and trigger == event:
-                return output, target
-        return None
+        return self._table.get((state, event))
 
 
 _TRANSITION_RE = re.compile(
@@ -90,7 +91,7 @@ def parse_controller(text: str) -> ControllerFSM:
         if sep and head in ("states", "initial", "inputs", "outputs"):
             names = rest.split()
             for name in names:
-                if not re.fullmatch(r"[A-Za-z0-9_]+", name):
+                if not NAME_RE.match(name):
                     raise ParseError(line_no, f"invalid name {name!r}")
             decls[head] = names
             continue
@@ -442,7 +443,7 @@ class _CtlParser:
         if token == "FALSE":
             self.take()
             return Const(False)
-        if re.fullmatch(r"[A-Za-z0-9_]+", token):
+        if NAME_RE.match(token):
             return self.atom()
         raise ParseError(self.pos(), f"unexpected token {token!r}")
 
@@ -455,7 +456,7 @@ class _CtlParser:
                 return Atom(name)
             if value == "FALSE":
                 return Not(Atom(name))
-            if re.fullmatch(r"[A-Za-z0-9_]+", value):
+            if NAME_RE.match(value):
                 return Atom(f"{name}={value}")
             raise ParseError(self.pos(), f"bad comparison value {value!r}")
         return Atom(name)

@@ -1,3 +1,5 @@
+import pytest
+
 from plantmine.cli import main
 
 ARTIFACT_NAMES = ["log.csv", "filtered.csv", "log.xes", "net.pnml",
@@ -145,6 +147,24 @@ class TestStages:
 
     def test_unknown_subcommand_exits_two(self, tmp_path):
         assert run("frobnicate") == 2
+
+    @pytest.mark.parametrize("argv, actions", [
+        (["simulate", "--traces", "0"], None),
+        (["simulate", "--cycles", "3..1"], None),
+        (["reach", "--fixture", "--bound", "0"], None),
+        (["reach", "--fixture", "--marking", "p.HOME_ON..EXT=-1"], None),
+        (["mine"], [f"A{i}" for i in range(17)]),
+        (["mine"], ["source", "EXT"]),
+    ], ids=["zero-traces", "empty-cycles", "zero-bound", "negative-marking",
+            "17-actions", "action-named-source"])
+    def test_invalid_value_exits_two(self, tmp_path, capsys, argv, actions):
+        if actions is not None:
+            log = tmp_path / "log.csv"
+            log.write_text("processId,timestamp,component,action\n" + "".join(
+                f"1,2021-05-10T10:00:{i:02d}Z,HC,{a}\n" for i, a in enumerate(actions)))
+            argv = argv + ["--log", str(log)]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDeterminism:

@@ -5,8 +5,8 @@ import pytest
 from plantmine.errors import InconsistentLabeling, ParseError, UnmappedAction
 from plantmine.fixture import INITIAL_VALUATION, fixture_action_map
 from plantmine.transform import (FSM, ActionKind, build_plant_fb,
-                                 classify_alphabet, export_action_map,
-                                 export_fb, export_fb_dot, fsm_from_graph,
+                                 classify_alphabet, export_fb, export_fb_dot,
+                                 fsm_from_graph,
                                  parse_action_map, parse_fb)
 
 from helpers import ecc_words, fsm_words, random_plant_fsm
@@ -20,7 +20,6 @@ class TestActionMap:
         amap = parse_action_map(text)
         assert amap.kind("EXT") is ActionKind.CONTROL
         assert amap.effect("HOME_ON") == ("HOME", True)
-        assert parse_action_map(export_action_map(amap)) == amap
 
     def test_comments_and_blanks_skipped(self):
         amap = parse_action_map("# commands\n\nEXT: control\n")
