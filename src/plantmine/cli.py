@@ -5,8 +5,9 @@ Subcommands run progressively longer prefixes of the same pipeline:
     simulate -> mine -> reach -> transform -> emit-smv -> verify
 
 with ``pipeline`` running everything.  Each stage persists its artifact under
-``--out`` with an atomic write, and the final report lists every stage with
-the content digest of its input file.
+``--out`` with an atomic write.  A stage subcommand prints, and the final
+report lists, every stage run with its elapsed time and the content digests
+of its input files.
 
 Exit codes: 0 on success (all specs hold), 1 when verification fails, 2 on
 usage or input errors.
@@ -20,7 +21,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import discovery, eventlog, fixture, petri, smv, transform, verify
@@ -56,33 +56,28 @@ def _atomic_write(path: Path, text: str) -> Path:
     return path
 
 
-@dataclass
-class StageRecord:
-    name: str
-    inputs: list[tuple[str, str]] = field(default_factory=list)
-    started: float = 0.0
-    elapsed: float = 0.0
+class _Stages:
+    """The checkpoint that closes every stage.
 
+    A stage's elapsed time runs from the previous checkpoint, so the stages
+    partition the run.  ``done`` returns true when ``name`` is the stage the
+    subcommand stops at, after printing the stage lines.
+    """
 
-class Runner:
-    """Executes stages in order, writing artifacts and recording digests."""
+    def __init__(self, stop: str | None) -> None:
+        self.stop = stop
+        self.lines = ["stages:"]
+        self.clock = time.perf_counter()
 
-    def __init__(self, out_dir: Path) -> None:
-        self.out_dir = out_dir
-        self.records: list[StageRecord] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def artifact(self, key: str) -> Path:
-        return self.out_dir / ARTIFACTS[key]
-
-    def stage(self, name: str, inputs: list[Path]) -> StageRecord:
-        record = StageRecord(name, [(p.name, _sha256(p)) for p in inputs],
-                             started=time.perf_counter())
-        self.records.append(record)
-        return record
-
-    def finish(self, record: StageRecord) -> None:
-        record.elapsed = time.perf_counter() - record.started
+    def done(self, name: str, inputs: list[Path]) -> bool:
+        digests = ", ".join(f"{p.name} sha256={_sha256(p)}" for p in inputs) or "-"
+        now = time.perf_counter()
+        self.lines.append(f"  {name}: inputs: {digests}; elapsed {now - self.clock:.3f}s")
+        self.clock = now
+        if name != self.stop:
+            return False
+        print("\n".join(self.lines))
+        return True
 
 
 def _parse_cycles(text: str) -> tuple[int, int]:
@@ -183,44 +178,41 @@ def _sim_config(args: argparse.Namespace) -> fixture.SimConfig:
                              mutations=frozenset(args.mutate))
 
 
-def _execute(args: argparse.Namespace, upto: str) -> int:
-    runner = Runner(args.out)
+def _execute(args: argparse.Namespace) -> int:
+    # verify and pipeline run every stage and print the report instead
+    stages = _Stages(None if args.command in ("verify", "pipeline") else args.command)
+    args.out.mkdir(parents=True, exist_ok=True)
+
+    def artifact(key: str) -> Path:
+        return args.out / ARTIFACTS[key]
 
     # --- log acquisition ------------------------------------------------
     if getattr(args, "log", None) is not None:
         log_path = args.log
-        record = runner.stage("parse", [log_path] if log_path.exists() else [])
         log = eventlog.parse_csv(_read_text(log_path))
-        runner.finish(record)
+        stages.done("parse", [log_path])
     else:
-        if upto != "simulate" and not getattr(args, "fixture", False):
+        if args.command != "simulate" and not args.fixture:
             raise UsageError("either --log or --fixture is required")
-        record = runner.stage("simulate", [])
         log = fixture.simulate_two_cylinder(_sim_config(args), args.seed)
-        log_path = _atomic_write(runner.artifact("log"), eventlog.export_csv(log))
-        runner.finish(record)
-    if upto == "simulate":
-        _print_stages(runner)
-        return 0
+        log_path = _atomic_write(artifact("log"), eventlog.export_csv(log))
+        if stages.done("simulate", []):
+            return 0
 
     # --- mine: filter, group, export, discover ---------------------------
-    record = runner.stage("mine", [log_path])
     filtered = eventlog.filter_component(log, args.component)
-    filtered_path = _atomic_write(runner.artifact("filtered"), eventlog.export_csv(filtered))
+    _atomic_write(artifact("filtered"), eventlog.export_csv(filtered))
     traces = eventlog.group_traces(filtered)
-    xes_path = _atomic_write(runner.artifact("xes"), eventlog.export_xes(traces))
+    _atomic_write(artifact("xes"), eventlog.export_xes(traces))
     net = discovery.alpha_discover(traces)
-    pnml_path = _atomic_write(runner.artifact("pnml"), petri.export_pnml(net))
+    pnml_path = _atomic_write(artifact("pnml"), petri.export_pnml(net))
     log_fitness = discovery.fitness(net, traces)
-    runner.finish(record)
     print(f"mined net: {len(net.places)} places, {len(net.transitions)} transitions, "
           f"{len(net.arcs)} arcs; replay fitness {log_fitness:.3f}")
-    if upto == "mine":
-        _print_stages(runner)
+    if stages.done("mine", [log_path]):
         return 0
 
     # --- reach: strip, mark, explore -------------------------------------
-    record = runner.stage("reach", [pnml_path])
     stripped = petri.strip_boundary(net)
     explicit = _parse_marking(args.marking)
     if explicit:
@@ -230,17 +222,13 @@ def _execute(args: argparse.Namespace, upto: str) -> int:
     else:
         marking = petri.default_initial_marking(stripped)
     graph = petri.reachability_graph(stripped, marking, bound=args.bound)
-    dot_path = _atomic_write(runner.artifact("dot"), petri.export_dot_graph(graph))
-    runner.finish(record)
+    _atomic_write(artifact("dot"), petri.export_dot_graph(graph))
     print(f"reachability: {len(graph.nodes)} markings, {len(graph.edges)} edges "
           f"from {marking}")
-    if upto == "reach":
-        _print_stages(runner)
+    if stages.done("reach", [pnml_path]):
         return 0
 
     # --- transform --------------------------------------------------------
-    inputs = [pnml_path] + ([args.actionmap] if args.actionmap else [])
-    record = runner.stage("transform", inputs)
     if args.actionmap:
         # Custom maps start all latches false; the fixture map carries the
         # cylinder's rest position instead.
@@ -254,71 +242,52 @@ def _execute(args: argparse.Namespace, upto: str) -> int:
     fsm = transform.fsm_from_graph(graph)
     fb = transform.build_plant_fb(fsm, amap, initial_valuation,
                                   name=f"{args.component}_PLANT")
-    fb_path = _atomic_write(runner.artifact("fb"), transform.export_fb(fb))
-    runner.finish(record)
+    fb_path = _atomic_write(artifact("fb"), transform.export_fb(fb))
     print(f"plant block: {len(fb.states)} states, {len(fb.transitions)} transitions, "
           f"inputs {list(fb.event_inputs)}, outputs {list(fb.event_outputs)}")
-    if upto == "transform":
-        _print_stages(runner)
+    if stages.done("transform", [pnml_path] + ([args.actionmap] if args.actionmap else [])):
         return 0
 
-    # --- controller and specs ---------------------------------------------
+    # --- emit-smv ---------------------------------------------------------
     if args.controller:
         controller = verify.parse_controller(_read_text(args.controller))
     elif args.fixture:
         controller = fixture.fixture_controller()
     else:
         raise UsageError("--controller is required without --fixture")
-    spec_texts = args.spec or [DEFAULT_SPEC]
-    formulas = [verify.parse_ctl(text) for text in spec_texts]
-
-    # --- emit-smv -----------------------------------------------------------
-    inputs = [fb_path] + ([args.controller] if args.controller else [])
-    record = runner.stage("emit-smv", inputs)
+    formulas = [verify.parse_ctl(text) for text in args.spec or [DEFAULT_SPEC]]
     document = smv.emit_closed_loop(fb, controller, tuple(formulas))
-    smv_path = _atomic_write(runner.artifact("smv"), document.text)
-    runner.finish(record)
-    if upto == "emit-smv":
-        _print_stages(runner)
+    smv_path = _atomic_write(artifact("smv"), document.text)
+    model_inputs = [fb_path] + ([args.controller] if args.controller else [])
+    if stages.done("emit-smv", model_inputs):
         return 0
 
-    # --- verify ---------------------------------------------------------
-    record = runner.stage("verify", [smv_path])
+    # --- verify -----------------------------------------------------------
     structure = verify.compose(fb, controller)
     verdicts = [verify.check_ctl(structure, formula) for formula in formulas]
-    runner.finish(record)
+    stages.done("verify", model_inputs)
 
     nusmv_lines: list[str] = []
     agreement = True
-    if getattr(args, "nusmv", None):
+    if args.nusmv:
         agreement, nusmv_lines = _cross_check_nusmv(args.nusmv, smv_path, verdicts)
 
     failed = [i for i, v in enumerate(verdicts) if not v.holds]
     strict_block = args.strict and structure.diagnostics
     ok = not failed and not strict_block and agreement
-    report = _render_report(runner, formulas, verdicts, structure, fb,
+    report = _render_report(stages.lines, formulas, verdicts, structure, fb,
                             strict=args.strict, nusmv_lines=nusmv_lines, ok=ok)
-    _atomic_write(runner.artifact("report"), report)
+    _atomic_write(artifact("report"), report)
     print(report, end="")
     return 0 if ok else 1
 
 
-def _print_stages(runner: Runner) -> None:
-    for record in runner.records:
-        inputs = " ".join(f"{name} sha256={digest}" for name, digest in record.inputs) or "-"
-        print(f"stage {record.name}: inputs {inputs} ({record.elapsed:.3f}s)")
-
-
-def _render_report(runner: Runner, formulas, verdicts, structure, fb,
+def _render_report(stage_lines: list[str], formulas, verdicts, structure, fb,
                    strict: bool, nusmv_lines: list[str], ok: bool) -> str:
     sensor_vars = set(fb.sensor_vars)
     lines = ["plantmine verification report",
              "=============================",
-             "stages:"]
-    for record in runner.records:
-        inputs = ", ".join(f"{name} sha256={digest}"
-                           for name, digest in record.inputs) or "-"
-        lines.append(f"  {record.name}: inputs: {inputs}; elapsed {record.elapsed:.3f}s")
+             *stage_lines]
     lines.append("specs:")
     for formula, verdict in zip(formulas, verdicts):
         status = "HOLDS" if verdict.holds else "FAILED"
@@ -373,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _execute(args, args.command)
+        return _execute(args)
     except (PlantMineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

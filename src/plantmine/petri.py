@@ -162,9 +162,14 @@ def reachability_graph(net: PetriNet, initial: Marking,
     Raises :class:`BoundExceeded` as soon as more than ``bound`` distinct
     markings would be recorded; stripped nets with token-generating
     transitions are unbounded, and this is the safety valve for them.
+    Raises ``ValueError`` when ``initial`` marks a place the net lacks.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
+    places = set(net.places)
+    unknown = [p for p, _ in initial.tokens if p not in places]
+    if unknown:
+        raise ValueError(f"initial marking names places not in the net: {', '.join(unknown)}")
     nodes: list[Marking] = [initial]
     seen: set[Marking] = {initial}
     edges: list[tuple[Marking, str, Marking]] = []

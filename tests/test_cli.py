@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from plantmine.cli import main
@@ -40,6 +42,10 @@ class TestPipeline:
             assert f"  {stage}:" in report
         assert report.count("sha256=") >= 5
         assert "elapsed" in report
+        verify_line = next(line for line in report.splitlines()
+                           if line.startswith("  verify:"))
+        assert "plant.fb sha256=" in verify_line
+        assert "closed_loop.smv" not in verify_line
 
     def test_custom_spec_flag(self, tmp_path):
         code = run("pipeline", "--fixture", "--traces", "5",
@@ -91,7 +97,10 @@ class TestStages:
                    "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "net.pnml").exists()
-        assert "mined net" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "mined net" in out
+        assert "stages:" in out
+        assert "  mine: inputs: log.csv sha256=" in out
 
     def test_reach_requires_marking_without_fixture(self, tmp_path):
         run("simulate", "--seed", "7", "--traces", "3", "--out", str(tmp_path))
@@ -153,10 +162,11 @@ class TestStages:
         (["simulate", "--cycles", "3..1"], None),
         (["reach", "--fixture", "--bound", "0"], None),
         (["reach", "--fixture", "--marking", "p.HOME_ON..EXT=-1"], None),
+        (["reach", "--fixture", "--marking", "nosuch=1"], None),
         (["mine"], [f"A{i}" for i in range(17)]),
         (["mine"], ["source", "EXT"]),
     ], ids=["zero-traces", "empty-cycles", "zero-bound", "negative-marking",
-            "17-actions", "action-named-source"])
+            "unknown-place", "17-actions", "action-named-source"])
     def test_invalid_value_exits_two(self, tmp_path, capsys, argv, actions):
         if actions is not None:
             log = tmp_path / "log.csv"
@@ -165,6 +175,32 @@ class TestStages:
             argv = argv + ["--log", str(log)]
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNuSMVCrossCheck:
+    """``--nusmv`` against a stand-in executable that prints NuSMV verdict lines."""
+
+    @pytest.mark.parametrize("verdict_lines, code, expected", [
+        (["-- specification AG !(HOME & END)  is true"], 0, "nusmv: agreement (true)"),
+        (["-- specification AG !(HOME & END)  is false"], 1, "nusmv: MISMATCH (false)"),
+        ([], 1, "nusmv: expected 1 verdicts, parsed 0"),
+    ], ids=["agreement", "mismatch", "no-verdicts"])
+    def test_fake_nusmv(self, tmp_path, capsys, verdict_lines, code, expected):
+        fake = tmp_path / "NuSMV"
+        fake.write_text(f"#!{sys.executable}\n"
+                        "print('*** This is a stand-in for NuSMV')\n"
+                        + "".join(f"print({line!r})\n" for line in verdict_lines))
+        fake.chmod(0o755)
+        assert run("pipeline", "--fixture", "--traces", "5", "--nusmv", str(fake),
+                   "--out", str(tmp_path / "out")) == code
+        assert expected in capsys.readouterr().out
+        assert expected in (tmp_path / "out" / "report.txt").read_text()
+
+    def test_missing_executable_exits_two(self, tmp_path, capsys):
+        assert run("pipeline", "--fixture", "--traces", "5",
+                   "--nusmv", str(tmp_path / "no-such-nusmv"),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error: cannot run NuSMV")
 
 
 class TestDeterminism:

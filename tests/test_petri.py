@@ -128,6 +128,10 @@ class TestReachability:
             reachability_graph(diamond_net, Marking.of({"source": 1}), bound=3)
         assert exc.value.bound == 3
 
+    def test_unknown_place_in_initial_marking(self, diamond_net):
+        with pytest.raises(ValueError, match="nosuch"):
+            reachability_graph(diamond_net, Marking.of({"source": 1, "nosuch": 1}))
+
     def test_dead_marking_single_node(self, diamond_net):
         # d needs both of its input places, so this marking enables nothing
         graph = reachability_graph(diamond_net, Marking.of({P_BD: 1}))
