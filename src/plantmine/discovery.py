@@ -1,9 +1,10 @@
 """Alpha-algorithm process discovery and token-replay conformance.
 
 The miner derives the classic ordering relations from direct successions in
-the log, enumerates maximal causal set pairs, and assembles a workflow net
-with one synthetic source and sink place.  Token replay then validates that
-the mined net can actually reproduce the log it came from.
+the log, finds the maximal causal set pairs as the maximal cliques of one
+graph over input and output actions, and assembles a workflow net with one
+synthetic source and sink place.  Token replay then validates that the mined
+net can actually reproduce the log it came from.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from .petri import Marking, PetriNet
 
 SOURCE_PLACE = "source"
 SINK_PLACE = "sink"
-
-# Exhaustive subset enumeration over the alphabet; fine for the plant logs
-# this tool targets, unreasonable beyond this size.
-MAX_ALPHABET = 16
 
 
 class Relation(Enum):
@@ -65,39 +62,66 @@ def footprint(traces: TraceSet) -> FootprintMatrix:
     return FootprintMatrix(tuple(sorted(traces.alphabet)), frozenset(succession))
 
 
-def _unrelated_cliques(fp: FootprintMatrix) -> list[frozenset[str]]:
-    """Non-empty action sets whose members are pairwise unrelated.
-
-    Membership includes each action with itself, which is what rules
-    self-looping actions out of causal sets (the known length-one-loop
-    limitation of plain alpha).
-    """
-    items = fp.alphabet
-    cliques = []
-    for mask in range(1, 1 << len(items)):
-        subset = [items[i] for i in range(len(items)) if mask >> i & 1]
-        if all(fp.relation(a, b) is Relation.UNRELATED for a in subset for b in subset):
-            cliques.append(frozenset(subset))
-    return cliques
-
-
 def causal_pairs(fp: FootprintMatrix) -> set[tuple[frozenset[str], frozenset[str]]]:
-    """All pairs (A, B) with A, B pairwise-unrelated and every a in A causing every b in B."""
-    cliques = _unrelated_cliques(fp)
-    pairs = set()
-    for a_set in cliques:
-        for b_set in cliques:
-            if all(fp.relation(a, b) is Relation.CAUSALITY for a in a_set for b in b_set):
-                pairs.add((a_set, b_set))
-    return pairs
+    """The singleton causal pairs ({a}, {b}): a -> b, and neither action loops on itself."""
+    looping = {a for a, b in fp.direct_succession if a == b}
+    return {(frozenset((a,)), frozenset((b,))) for a, b in fp.direct_succession
+            if (b, a) not in fp.direct_succession and not {a, b} & looping}
 
 
 def maximal_pairs(fp: FootprintMatrix) -> set[tuple[frozenset[str], frozenset[str]]]:
-    """The componentwise-maximal causal pairs; each one becomes a place."""
-    pairs = causal_pairs(fp)
-    return {(a, b) for a, b in pairs
-            if not any((a, b) != (a2, b2) and a <= a2 and b <= b2
-                       for a2, b2 in pairs)}
+    """The componentwise-maximal causal pairs; each one becomes a place.
+
+    They are the maximal cliques with both sides non-empty of one graph: the
+    vertices (A, a) and (B, b) of each singleton causal pair ({a}, {b}) (an
+    action in none sits in no pair), an edge between same-side vertices whose
+    actions are unrelated, and one between (A, a) and (B, b) when a -> b.
+    Adding a vertex to a pair grows one of its sides, so a clique is maximal
+    exactly when its pair is; ``a -> a`` is impossible, so no action sits on
+    both sides.  Bron-Kerbosch with Tomita pivoting runs over bit masks ((A, a)
+    at bit i, (B, a) at bit n + i) on an explicit stack, as a wide alphabet
+    would exceed the recursion limit.  The cost follows the number of maximal
+    pairs, not the 2^n subsets of the alphabet, but an adversarial footprint
+    can still have exponentially many of them.
+    """
+    n, index = len(fp.alphabet), {a: i for i, a in enumerate(fp.alphabet)}
+    edges = [(index[min(a)], index[min(b)]) for a, b in causal_pairs(fp)]
+    sides = sum({1 << a for a, _ in edges}), sum({1 << b + n for _, b in edges})
+    unrelated = [(1 << n) - 1 & ~(1 << i) for i in range(n)]
+    for x, y in fp.direct_succession:
+        unrelated[index[x]] &= ~(1 << index[y])
+        unrelated[index[y]] &= ~(1 << index[x])
+    adjacent = [u & sides[0] for u in unrelated] + [u << n & sides[1] for u in unrelated]
+    for a, b in edges:
+        adjacent[a] |= 1 << b + n
+        adjacent[b + n] |= 1 << a
+
+    def members(mask: int):
+        while mask:
+            yield (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+
+    found, stack = set(), [(0, sides[0] | sides[1], 0)]
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        if not all((clique | candidates) & side for side in sides):
+            continue  # every clique of this branch lacks a side
+        if not candidates | excluded:
+            found.add(tuple(frozenset(fp.alphabet[i % n] for i in members(clique & side))
+                            for side in sides))
+            continue
+        pivot, best = 0, -1  # most neighbours among the candidates; stop at the bound
+        for u in members(excluded | candidates):
+            degree = (candidates & adjacent[u]).bit_count()
+            if degree > best:
+                pivot, best = u, degree
+                if degree >= candidates.bit_count() - 1:
+                    break
+        for v in members(candidates & ~adjacent[pivot]):
+            stack.append((clique | 1 << v, candidates & adjacent[v], excluded & adjacent[v]))
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+    return found
 
 
 def place_id(a_set: frozenset[str], b_set: frozenset[str]) -> str:
@@ -122,8 +146,6 @@ def alpha_discover(traces: TraceSet) -> PetriNet:
     for trace in traces.traces:
         if not trace.actions:
             raise EmptyTrace(trace.process_id)
-    if len(traces.alphabet) > MAX_ALPHABET:
-        raise ValueError(f"alphabet larger than {MAX_ALPHABET} actions")
     if {SOURCE_PLACE, SINK_PLACE} & traces.alphabet:
         raise ValueError("actions named 'source'/'sink' clash with boundary places")
 

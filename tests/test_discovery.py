@@ -93,6 +93,38 @@ class TestAlphaDiscover:
             mined = {(a, b) for a, b in maximal_pairs(fp)}
             assert mined == maximal_pairs_oracle(traces)
 
+    def test_arbitrary_footprints_against_oracle(self):
+        # every direct-succession relation is the footprint of its two-event
+        # traces; singleton traces complete the alphabet
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(300):
+            actions = "abcdefg"[:rng.randint(1, 7)]
+            density = rng.choice((0.1, 0.3, 0.5))
+            rows = [(a, b) for a in actions for b in actions if rng.random() < density]
+            traces = traceset(*rows, *((a,) for a in actions))
+            fp = footprint(traces)
+            seen.update(fp.relation(a, b) for a in actions for b in actions if a != b)
+            seen.update("self-loop" for a in actions if (a, a) in fp.direct_succession)
+            assert maximal_pairs(fp) == maximal_pairs_oracle(traces)
+        assert seen == set(Relation) | {"self-loop"}
+
+    def test_wide_sorter_footprint(self):
+        bins = [f"BIN{i}" for i in range(1198)]
+        fp = footprint(traceset(("ACK", "GO"), *(("GO", b, "ACK") for b in bins)))
+        assert maximal_pairs(fp) == {
+            (frozenset({"GO"}), frozenset(bins)),
+            (frozenset(bins), frozenset({"ACK"})),
+            (frozenset({"ACK"}), frozenset({"GO"}))}
+
+    def test_wide_sorter_log(self):
+        bins = [f"BIN{i}" for i in range(22)]
+        net = alpha_discover(traceset(*(("GO", b, "ACK", "GO", c, "ACK")
+                                        for b, c in zip(bins, bins[1:] + bins[:1]))))
+        assert len(net.transitions) == 24
+        assert set(net.places) == {"source", "sink", place_id({"GO"}, bins),
+                                   place_id(bins, {"ACK"}), place_id({"ACK"}, {"GO"})}
+
 
 class TestReplay:
     def test_own_trace_fits(self):
