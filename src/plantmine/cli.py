@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--marking", action="append", default=[],
                        help="initial marking as place=count pairs (comma separated)")
         p.add_argument("--bound", type=int, default=petri.DEFAULT_BOUND,
-                       help="reachability node bound")
+                       help="state bound for reachability and composition")
 
     def add_transform(p: argparse.ArgumentParser) -> None:
         p.add_argument("--actionmap", type=Path,
@@ -263,7 +263,7 @@ def _execute(args: argparse.Namespace) -> int:
         return 0
 
     # --- verify -----------------------------------------------------------
-    structure = verify.compose(fb, controller)
+    structure = verify.compose(fb, controller, bound=args.bound)
     verdicts = [verify.check_ctl(structure, formula) for formula in formulas]
     stages.done("verify", model_inputs)
 

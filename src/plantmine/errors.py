@@ -61,7 +61,7 @@ class MarkingRequired(PlantMineError):
 class BoundExceeded(PlantMineError):
     def __init__(self, bound: int) -> None:
         self.bound = bound
-        super().__init__(f"reachable state space exceeds {bound} markings")
+        super().__init__(f"explored state space exceeds {bound} states")
 
 
 class UnmappedAction(PlantMineError):

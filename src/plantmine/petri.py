@@ -170,6 +170,9 @@ def reachability_graph(net: PetriNet, initial: Marking,
     unknown = [p for p, _ in initial.tokens if p not in places]
     if unknown:
         raise ValueError(f"initial marking names places not in the net: {', '.join(unknown)}")
+    # Only a transition that consumes from a marked place, or from no place
+    # at all, can be enabled.
+    generators = {t for t in net.transitions if not net.preset(t)}
     nodes: list[Marking] = [initial]
     seen: set[Marking] = {initial}
     edges: list[tuple[Marking, str, Marking]] = []
@@ -177,7 +180,11 @@ def reachability_graph(net: PetriNet, initial: Marking,
     while queue:
         marking = queue.popleft()
         counts = marking.as_dict()
-        for t in net.transitions:
+        candidates = set(generators)
+        for p in counts:
+            candidates.update(net.postset(p))
+        # net.transitions is sorted, so edges keep its order
+        for t in sorted(candidates):
             inputs = net.preset(t)
             if not all(counts.get(p, 0) >= 1 for p in inputs):
                 continue

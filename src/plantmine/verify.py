@@ -4,8 +4,11 @@ The plant function block and a deterministic controller are composed into a
 finite Kripke structure under pending-event semantics: at most one event is
 in flight, the plant moves spontaneously only while no event is pending, and
 a pending event is consumed by its addressee before anything else happens.
-CTL properties are then checked by standard fixpoint labeling, with
-breadth-first counterexample paths for failing AG properties.
+CTL properties are then checked by worklist labeling in the manner of Clarke,
+Emerson and Sistla (TOPLAS 1986): predecessor lists are built once with the
+structure, EX is a union over predecessors, EU/EF a backward breadth-first
+search and EG a successor-count worklist, so each operator costs O(|S|+|R|).
+Failing AG properties come with breadth-first counterexample paths.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
-from .errors import (AlphabetMismatch, NondeterministicController, ParseError,
-                     UndeclaredEvent, UnknownAtom)
+from .errors import (AlphabetMismatch, BoundExceeded, NondeterministicController,
+                     ParseError, UndeclaredEvent, UnknownAtom)
 from .eventlog import NAME_RE
+from .petri import DEFAULT_BOUND
 from .transform import FunctionBlock
 
 STUTTER = "stutter"
@@ -161,23 +165,28 @@ class KripkeStructure:
     labels: Mapping
     atoms: frozenset[str]
     diagnostics: tuple[Diagnostic, ...] = ()
+    # one entry per edge, so a source with two edges into a state appears twice
+    _predecessors: dict[object, list] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        state_set = set(self.states)
-        if self.initial not in state_set:
+        predecessors: dict[object, list] = {state: [] for state in self.states}
+        if self.initial not in predecessors:
             raise ValueError("initial state missing from state set")
         for state in self.states:
             succs = self.successors.get(state, ())
             if not succs:
                 raise ValueError(f"state {state!r} has no successor")
             for _, target in succs:
-                if target not in state_set:
+                if target not in predecessors:
                     raise ValueError(f"successor of {state!r} outside the state set")
+                predecessors[target].append(state)
             if not self.labels.get(state, frozenset()) <= self.atoms:
                 raise ValueError(f"labels of {state!r} not declared as atoms")
+        object.__setattr__(self, "_predecessors", predecessors)
 
 
-def compose(plant: FunctionBlock, ctl: ControllerFSM) -> KripkeStructure:
+def compose(plant: FunctionBlock, ctl: ControllerFSM,
+            bound: int = DEFAULT_BOUND) -> KripkeStructure:
     """Build the pending-event product of a plant block and a controller.
 
     From (p, c, none) the plant may stutter or take any spontaneous
@@ -194,7 +203,12 @@ def compose(plant: FunctionBlock, ctl: ControllerFSM) -> KripkeStructure:
     not implement is tolerated (it never fires, or surfaces as a diagnostic);
     an event claimed in the same direction by both sides is a real wiring
     error and raises :class:`AlphabetMismatch`.
+
+    Raises :class:`BoundExceeded` as soon as more than ``bound`` composite
+    states would be recorded.
     """
+    if bound < 1:
+        raise ValueError("bound must be positive")
     _check_wiring(plant, ctl)
 
     atoms = set(plant.sensor_vars)
@@ -252,6 +266,8 @@ def compose(plant: FunctionBlock, ctl: ControllerFSM) -> KripkeStructure:
         successors[state] = succs
         for _, target in succs:
             if target not in seen:
+                if len(states) >= bound:
+                    raise BoundExceeded(bound)
                 seen.add(target)
                 states.append(target)
                 queue.append(target)
@@ -548,43 +564,65 @@ def satisfying_states(k: KripkeStructure, formula: Formula,
     """The set of states satisfying ``formula``.
 
     Checking uses the adequate set {EX, EU, EG}; the remaining operators are
-    rewritten by duality.  When ``stats`` is given, the number of productive
-    fixpoint rounds of every EU/EG evaluation is appended to
-    ``stats['rounds']``.
+    rewritten by duality.  Each operator is labeled in O(|S|+|R|) over the
+    structure's predecessor lists: EX is the union of the predecessors of
+    its operand's states, EU grows the goal backwards through ``hold`` one
+    breadth-first layer at a time, and EG drops, layer by layer, the states
+    of ``hold`` whose count of successors inside ``hold`` reaches zero.
+
+    When ``stats`` is given, every EU/EG evaluation appends its number of
+    rounds to ``stats['rounds']``: the non-empty layers it added (EU, not
+    counting the goal itself) or removed (EG).  A round is one step of the
+    textbook fixpoint iteration that changes the set, so the counts are
+    those of iterating ``pre()`` to the fixpoint.
     """
     all_states = frozenset(k.states)
+    predecessors = k._predecessors
 
     def pre(target: frozenset) -> frozenset:
-        return frozenset(s for s in k.states
-                         if any(t in target for _, t in k.successors[s]))
+        return frozenset(s for t in target for s in predecessors[t])
 
     def note_rounds(rounds: int) -> None:
         if stats is not None:
             stats.setdefault("rounds", []).append(rounds)
 
     def sat_eu(hold: frozenset, goal: frozenset) -> frozenset:
-        current = goal
+        reached = set(goal)
+        layer = list(goal)
         rounds = 0
         while True:
-            grown = current | (hold & pre(current))
-            if grown == current:
+            grown = []
+            for t in layer:
+                for s in predecessors[t]:
+                    if s in hold and s not in reached:
+                        reached.add(s)
+                        grown.append(s)
+            if not grown:
                 break
-            current = grown
+            layer = grown
             rounds += 1
         note_rounds(rounds)
-        return current
+        return frozenset(reached)
 
     def sat_eg(hold: frozenset) -> frozenset:
-        current = hold
+        alive = {s: sum(t in hold for _, t in k.successors[s]) for s in hold}
+        layer = [s for s, count in alive.items() if not count]
+        for s in layer:
+            del alive[s]
         rounds = 0
-        while True:
-            shrunk = current & pre(current)
-            if shrunk == current:
-                break
-            current = shrunk
+        while layer:
             rounds += 1
+            dropped = []
+            for t in layer:
+                for s in predecessors[t]:
+                    if s in alive:
+                        alive[s] -= 1
+                        if not alive[s]:
+                            del alive[s]
+                            dropped.append(s)
+            layer = dropped
         note_rounds(rounds)
-        return current
+        return frozenset(alive)
 
     def sat(f: Formula) -> frozenset:
         match f:

@@ -3,16 +3,22 @@
 The oracles deliberately avoid the library's own algorithms: relations come
 from a plain adjacency scan, causal pairs from exhaustive subset enumeration,
 reachable markings from a depth-first walk, and CTL values from bounded path
-unrolling (exact at |states| steps by the pigeonhole argument).
+unrolling (exact at |states| steps by the pigeonhole argument).  Two
+references keep the straightforward versions of optimized library code:
+reachability that tests every transition at every marking, and CTL labeling
+by round-based ``pre()`` fixpoints with the same ``stats['rounds']`` hook.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 from plantmine.eventlog import Trace, TraceSet
-from plantmine.petri import Marking, PetriNet
+from plantmine.errors import BoundExceeded, UnknownAtom
+from plantmine.petri import (Marking, PetriNet, ReachabilityGraph,
+                             enabled_transitions, fire)
 from plantmine.transform import FSM, ActionMap, FunctionBlock
 from plantmine.verify import (AF, AG, AU, EF, EG, EU, EX, AX, And, Atom, Const,
                               ControllerFSM, Formula, Implies, KripkeStructure,
@@ -175,6 +181,47 @@ def random_conservative_net(rng: random.Random):
     return net, Marking.of({p: 1 for p in marked})
 
 
+def random_net(rng: random.Random):
+    """A small net that may hold token-generating (empty-preset) transitions.
+
+    Such nets are often unbounded, so explore them with a small bound.
+    """
+    n_places = rng.randint(1, 5)
+    places = [f"pl{i}" for i in range(n_places)]
+    transitions = [f"t{i}" for i in range(rng.randint(1, 6))]
+    arcs = set()
+    for t in transitions:
+        ins = rng.sample(places, rng.randint(0, min(2, n_places)))
+        outs = rng.sample(places, rng.randint(0, min(2, n_places)))
+        arcs.update((p, t) for p in ins)
+        arcs.update((t, p) for p in outs)
+    net = PetriNet(places=tuple(places), transitions=tuple(transitions),
+                   arcs=tuple(arcs))
+    marked = rng.sample(places, rng.randint(0, min(2, n_places)))
+    return net, Marking.of({p: rng.randint(1, 2) for p in marked})
+
+
+def reachability_reference(net: PetriNet, initial: Marking,
+                           bound: int) -> ReachabilityGraph:
+    """Breadth-first exploration that tests every transition at every marking."""
+    nodes = [initial]
+    seen = {initial}
+    edges = []
+    queue = deque([initial])
+    while queue:
+        marking = queue.popleft()
+        for t in enabled_transitions(net, marking):
+            succ = fire(net, marking, t)
+            if succ not in seen:
+                if len(nodes) >= bound:
+                    raise BoundExceeded(bound)
+                seen.add(succ)
+                nodes.append(succ)
+                queue.append(succ)
+            edges.append((marking, t, succ))
+    return ReachabilityGraph(tuple(nodes), initial, tuple(edges))
+
+
 # ---------------------------------------------------------------------------
 # CTL oracle: bounded path unrolling, exact at |states| steps
 
@@ -261,6 +308,107 @@ def random_kripke(rng: random.Random, max_states: int = 8,
     return KripkeStructure(states=states, initial=states[0],
                            successors=successors, labels=labels,
                            atoms=frozenset(atom_pool))
+
+
+def random_multi_kripke(rng: random.Random, max_states: int = 40,
+                        atom_pool: tuple[str, ...] = ("p", "q", "r")) -> KripkeStructure:
+    """Like :func:`random_kripke`, with self-loops and parallel edges (two labels, one target)."""
+    n = rng.randint(1, max_states)
+    states = tuple(f"s{i}" for i in range(n))
+    successors = {}
+    for i, s in enumerate(states):
+        targets = rng.choices(states, k=rng.randint(1, 3))
+        if rng.random() < 0.3:
+            targets.append(s)
+        if rng.random() < 0.3:
+            targets.append(targets[0])
+        successors[s] = tuple((f"e{j}", t) for j, t in enumerate(targets))
+    labels = {s: frozenset(a for a in atom_pool if rng.random() < 0.5)
+              for s in states}
+    return KripkeStructure(states=states, initial=states[0],
+                           successors=successors, labels=labels,
+                           atoms=frozenset(atom_pool))
+
+
+def satisfying_states_reference(k: KripkeStructure, formula: Formula,
+                                stats: dict | None = None) -> frozenset:
+    """Textbook labeling: EU and EG iterate a full-scan ``pre()`` to their fixpoints.
+
+    Appends each EU/EG evaluation's number of rounds that changed the set to
+    ``stats['rounds']``, in the same call order as the library.
+    """
+    all_states = frozenset(k.states)
+
+    def pre(target: frozenset) -> frozenset:
+        return frozenset(s for s in k.states
+                         if any(t in target for _, t in k.successors[s]))
+
+    def note_rounds(rounds: int) -> None:
+        if stats is not None:
+            stats.setdefault("rounds", []).append(rounds)
+
+    def sat_eu(hold: frozenset, goal: frozenset) -> frozenset:
+        current = goal
+        rounds = 0
+        while True:
+            grown = current | (hold & pre(current))
+            if grown == current:
+                break
+            current = grown
+            rounds += 1
+        note_rounds(rounds)
+        return current
+
+    def sat_eg(hold: frozenset) -> frozenset:
+        current = hold
+        rounds = 0
+        while True:
+            shrunk = current & pre(current)
+            if shrunk == current:
+                break
+            current = shrunk
+            rounds += 1
+        note_rounds(rounds)
+        return current
+
+    def sat(f: Formula) -> frozenset:
+        match f:
+            case Const(value):
+                return all_states if value else frozenset()
+            case Atom(name):
+                if name not in k.atoms:
+                    raise UnknownAtom(name)
+                return frozenset(s for s in k.states if name in k.labels[s])
+            case Not(operand):
+                return all_states - sat(operand)
+            case And(left, right):
+                return sat(left) & sat(right)
+            case Or(left, right):
+                return sat(left) | sat(right)
+            case Implies(left, right):
+                return (all_states - sat(left)) | sat(right)
+            case EX(operand):
+                return pre(sat(operand))
+            case EU(left, right):
+                return sat_eu(sat(left), sat(right))
+            case EG(operand):
+                return sat_eg(sat(operand))
+            case EF(operand):
+                return sat_eu(all_states, sat(operand))
+            case AX(operand):
+                return all_states - pre(all_states - sat(operand))
+            case AF(operand):
+                return all_states - sat_eg(all_states - sat(operand))
+            case AG(operand):
+                return all_states - sat_eu(all_states, all_states - sat(operand))
+            case AU(left, right):
+                not_right = all_states - sat(right)
+                not_left = all_states - sat(left)
+                bad = sat_eu(not_right, not_left & not_right) | sat_eg(not_right)
+                return all_states - bad
+        raise TypeError(f"not a formula: {f!r}")
+
+    return sat(formula)
 
 
 def random_formula(rng: random.Random, atoms: tuple[str, ...],

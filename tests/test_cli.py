@@ -161,6 +161,15 @@ class TestStages:
                    "--out", str(tmp_path))
         assert code == 2
 
+    def test_bound_flag_limits_composition(self, tmp_path, capsys):
+        # the fixture plant has 6 markings and 10 composite states
+        code = run("pipeline", "--fixture", "--seed", "42", "--traces", "20",
+                   "--bound", "8", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "plant.fb").exists()
+        assert not (tmp_path / "report.txt").exists()
+
     def test_bad_cycles_flag(self, tmp_path):
         assert run("simulate", "--cycles", "junk", "--out", str(tmp_path)) == 2
 

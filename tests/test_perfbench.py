@@ -1,9 +1,11 @@
-"""Smoke test of the benchmark harness: one short traced run, no timings checked."""
+"""Smoke test of the benchmark harness: one short traced run per workload, no timings checked."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -11,9 +13,17 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
 
 
-def test_traced_alpha_choice_run():
+@pytest.mark.parametrize("workload, positive, exact", [
+    # non-zero only while discovery.causal_pairs is on the traced path
+    ("alpha-choice", ("discovery.place_yield",), {}),
+    # the 90-cylinder line: 904 productive fixpoint rounds over the three
+    # specs, and the failing AG's witness runs 896 steps down the line
+    ("deep-plant", (), {"verify.fixpoint_rounds": 904,
+                        "verify.counterexample_len": 896}),
+])
+def test_traced_run(workload, positive, exact):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "alpha-choice",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -22,5 +32,7 @@ def test_traced_alpha_choice_run():
     assert result["failed"] == 0
     metrics = result["metrics"]
     assert {name for name, _ in tracing.PER_LAYER} <= set(metrics)
-    # non-zero only while discovery.causal_pairs is on the traced path
-    assert metrics["discovery.place_yield"]["value"] > 0
+    for name in positive:
+        assert metrics[name]["value"] > 0
+    for name, value in exact.items():
+        assert metrics[name]["value"] == value

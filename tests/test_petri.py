@@ -11,7 +11,8 @@ from plantmine.petri import (Marking, PetriNet, default_initial_marking,
                              export_dot_net, export_pnml, fire,
                              reachability_graph, strip_boundary)
 
-from helpers import random_conservative_net, reachable_markings_oracle
+from helpers import (random_conservative_net, random_net,
+                     reachability_reference, reachable_markings_oracle)
 
 P_AB = place_id({"a"}, {"b"})
 P_AC = place_id({"a"}, {"c"})
@@ -162,6 +163,43 @@ class TestReachability:
             expected, saturated = reachable_markings_oracle(net, m0)
             assert saturated
             assert set(graph.nodes) == expected
+
+    def test_matches_full_scan_reference_on_random_nets(self):
+        # random_net draws token-generating transitions, so many nets are unbounded
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(300):
+            net, m0 = random_net(rng)
+            try:
+                expected = reachability_reference(net, m0, bound=30)
+            except BoundExceeded:
+                with pytest.raises(BoundExceeded):
+                    reachability_graph(net, m0, bound=30)
+                outcomes.add("bound")
+                continue
+            assert reachability_graph(net, m0, bound=30) == expected
+            outcomes.add("graph")
+        assert outcomes == {"bound", "graph"}
+
+    def test_preset_lookups_linear_on_ring(self, monkeypatch):
+        n = 300
+        places = [f"r{i:03d}" for i in range(n)]
+        transitions = [f"t{i:03d}" for i in range(n)]
+        arcs = [(places[i], transitions[i]) for i in range(n)]
+        arcs += [(transitions[i], places[(i + 1) % n]) for i in range(n)]
+        net = PetriNet(places=tuple(places), transitions=tuple(transitions),
+                       arcs=tuple(arcs))
+        lookups = []
+        preset = PetriNet.preset
+
+        def counting_preset(self, node):
+            lookups.append(node)
+            return preset(self, node)
+
+        monkeypatch.setattr(PetriNet, "preset", counting_preset)
+        graph = reachability_graph(net, Marking.of({places[0]: 1}))
+        assert len(graph.nodes) == len(graph.edges) == n
+        assert len(lookups) <= 3 * (len(graph.nodes) + len(graph.edges))
 
     def test_fixture_net_is_one_safe(self, fixture_graph):
         for marking in fixture_graph.nodes:

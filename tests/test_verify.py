@@ -1,9 +1,11 @@
 import random
+from collections.abc import Mapping
 
 import pytest
 
-from plantmine.errors import (AlphabetMismatch, NondeterministicController,
-                              ParseError, UndeclaredEvent, UnknownAtom)
+from plantmine.errors import (AlphabetMismatch, BoundExceeded,
+                              NondeterministicController, ParseError,
+                              UndeclaredEvent, UnknownAtom)
 from plantmine.fixture import (FIXTURE_CONTROLLER_TEXT, INITIAL_VALUATION,
                                fixture_action_map, fixture_controller)
 from plantmine.transform import FSM, build_plant_fb
@@ -13,7 +15,8 @@ from plantmine.verify import (AG, AU, EF, EU, And, Atom, CompositeState,
                               satisfying_states)
 
 from helpers import (ctl_oracle, random_controller, random_formula,
-                     random_kripke, random_plant_fsm)
+                     random_kripke, random_multi_kripke, random_plant_fsm,
+                     satisfying_states_reference)
 
 
 class TestParseController:
@@ -96,6 +99,15 @@ class TestCompose:
                             transitions=())
         with pytest.raises(AlphabetMismatch):
             compose(fixture_fb, bad)
+
+    def test_bound_exceeded(self, fixture_fb):
+        size = len(compose(fixture_fb, fixture_controller()).states)
+        assert len(compose(fixture_fb, fixture_controller(), bound=size).states) == size
+        with pytest.raises(BoundExceeded) as exc:
+            compose(fixture_fb, fixture_controller(), bound=size - 1)
+        assert exc.value.bound == size - 1
+        with pytest.raises(ValueError):
+            compose(fixture_fb, fixture_controller(), bound=0)
 
     def test_narrower_plant_tolerated(self):
         # plant without falling sensor edges composes with the full controller
@@ -231,6 +243,53 @@ class TestOracleAgreement:
                 satisfying_states(k, parse_ctl("!EG !p"))
             assert satisfying_states(k, parse_ctl("AX p")) == \
                 satisfying_states(k, parse_ctl("!EX !p"))
+
+
+class TestWorklistLabeling:
+    def test_matches_oracle_and_round_based_reference(self):
+        # self-loops and parallel edges exercise the EG successor counts
+        rng = random.Random(211)
+        for _ in range(200):
+            k = random_multi_kripke(rng)
+            formula = random_formula(rng, ("p", "q", "r"), depth=3)
+            stats, reference_stats = {}, {}
+            got = satisfying_states(k, formula, stats)
+            assert got == satisfying_states_reference(k, formula, reference_stats)
+            assert got == frozenset(ctl_oracle(k, formula))
+            assert stats == reference_stats
+
+    def test_successor_lookups_linear_on_chain(self):
+        class CountingSuccessors(Mapping):
+            def __init__(self, data):
+                self.data = data
+                self.lookups = 0
+
+            def __getitem__(self, state):
+                self.lookups += 1
+                return self.data[state]
+
+            def __iter__(self):
+                return iter(self.data)
+
+            def __len__(self):
+                return len(self.data)
+
+        n = 3000
+        states = tuple(range(n))
+        successors = CountingSuccessors(
+            {s: (("next", min(s + 1, n - 1)),) for s in states})
+        k = KripkeStructure(states=states, initial=0, successors=successors,
+                            labels={s: frozenset({"goal"} if s == n - 1 else ())
+                                    for s in states},
+                            atoms=frozenset({"goal"}))
+        edges = n
+        for text, holds in (("EF goal", True), ("EG !goal", False),
+                            ("AG !goal", False)):
+            successors.lookups = 0
+            verdict = check_ctl(k, parse_ctl(text))
+            assert verdict.holds is holds
+            assert successors.lookups <= 2 * (n + edges), text
+        assert len(verdict.counterexample) == n
 
 
 class TestClosedLoopWithRandomPlants:
