@@ -33,12 +33,6 @@ class Marking:
                 raise ValueError(f"negative token count for place {place!r}")
         return cls(tuple(sorted((p, c) for p, c in counts.items() if c)))
 
-    def count(self, place: str) -> int:
-        for p, c in self.tokens:
-            if p == place:
-                return c
-        return 0
-
     def as_dict(self) -> dict[str, int]:
         return dict(self.tokens)
 

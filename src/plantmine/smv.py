@@ -2,8 +2,9 @@
 
 The emitted main module encodes exactly the pending-event product semantics
 of :func:`plantmine.verify.compose`, so the external model checker and the
-built-in one see the same transition system.  Output is byte-deterministic:
-LF endings, no tabs, sorted enumerations.
+built-in one see the same transition system.  Specs are printed by the
+renderer of :mod:`plantmine.verify` in NuSMV's syntax.  Output is
+byte-deterministic: LF endings, no tabs, sorted enumerations.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 from .errors import SmvUnsupported, UnknownAtom
 from .transform import FunctionBlock
-from .verify import (AF, AG, AU, EF, EG, EU, EX, AX, And, Atom, Const, Formula,
-                     ControllerFSM, Implies, Not, Or, _check_wiring)
+from .verify import _SMV, ControllerFSM, Formula, _check_wiring, _render
 
 # NuSMV 2.6 keywords plus the identifiers this emitter claims for itself.
 _RESERVED = {
@@ -126,10 +126,11 @@ def emit_controller_module(ctl: ControllerFSM) -> str:
 
 def render_smv_formula(formula: Formula, fb: FunctionBlock,
                        ctl: ControllerFSM) -> str:
-    """Render a CTL formula with atoms mapped onto the instance paths.
+    """Render a CTL formula in NuSMV's syntax with atoms mapped onto the instance paths.
 
     Sensor atoms become ``plant.<VAR> = TRUE``; ``plant_state=Qi`` and
-    ``ctl_state=Cj`` atoms become the corresponding state comparisons.
+    ``ctl_state=Cj`` atoms become the corresponding state comparisons.  Any
+    other atom raises :class:`UnknownAtom`.
     """
     sensor_vars = set(fb.sensor_vars)
     plant_states = {s.name for s in fb.states}
@@ -138,65 +139,14 @@ def render_smv_formula(formula: Formula, fb: FunctionBlock,
     def atom_text(name: str) -> str:
         if name in sensor_vars:
             return f"plant.{name} = TRUE"
-        if name.startswith("plant_state="):
-            value = name[len("plant_state="):]
-            if value in plant_states:
-                return f"plant.state = {value}"
-        if name.startswith("ctl_state="):
-            value = name[len("ctl_state="):]
-            if value in ctl_states:
-                return f"ctl.state = {value}"
+        kind, _, value = name.partition("=")
+        if kind == "plant_state" and value in plant_states:
+            return f"plant.state = {value}"
+        if kind == "ctl_state" and value in ctl_states:
+            return f"ctl.state = {value}"
         raise UnknownAtom(name)
 
-    def unary_operand(f: Formula) -> str:
-        if isinstance(f, (Not, Const)):
-            return render(f)
-        return "(" + render(f) + ")"
-
-    precedence = {Implies: 1, Or: 2, And: 3}
-
-    def side(f: Formula, parent: type) -> str:
-        text = render(f)
-        if type(f) in precedence:
-            if precedence[type(f)] < precedence[parent]:
-                return f"({text})"
-            if parent is Implies and isinstance(f, Implies):
-                return f"({text})"
-        return text
-
-    def render(f: Formula) -> str:
-        match f:
-            case Const(value):
-                return "TRUE" if value else "FALSE"
-            case Atom(name):
-                return atom_text(name)
-            case Not(operand):
-                return "!" + unary_operand(operand)
-            case And(left, right):
-                return f"{side(left, And)} & {side(right, And)}"
-            case Or(left, right):
-                return f"{side(left, Or)} | {side(right, Or)}"
-            case Implies(left, right):
-                return f"{side(left, Implies)} -> {render(right)}"
-            case EX(op):
-                return "EX " + unary_operand(op)
-            case EF(op):
-                return "EF " + unary_operand(op)
-            case EG(op):
-                return "EG " + unary_operand(op)
-            case AX(op):
-                return "AX " + unary_operand(op)
-            case AF(op):
-                return "AF " + unary_operand(op)
-            case AG(op):
-                return "AG " + unary_operand(op)
-            case EU(left, right):
-                return f"E [ {render(left)} U {render(right)} ]"
-            case AU(left, right):
-                return f"A [ {render(left)} U {render(right)} ]"
-        raise TypeError(f"not a formula: {f!r}")
-
-    return render(formula)
+    return _render(formula, atom_text, _SMV)
 
 
 def emit_closed_loop(fb: FunctionBlock, ctl: ControllerFSM,

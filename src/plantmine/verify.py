@@ -8,7 +8,9 @@ CTL properties are then checked by worklist labeling in the manner of Clarke,
 Emerson and Sistla (TOPLAS 1986): predecessor lists are built once with the
 structure, EX is a union over predecessors, EU/EF a backward breadth-first
 search and EG a successor-count worklist, so each operator costs O(|S|+|R|).
-Failing AG properties come with breadth-first counterexample paths.
+Failing AG properties come with breadth-first counterexample paths.  One
+renderer prints formulas both for the report (:func:`render_ctl`) and, with
+NuSMV's spelling and atoms, for the ``CTLSPEC`` lines of :mod:`plantmine.smv`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import (AlphabetMismatch, BoundExceeded, NondeterministicController,
                      ParseError, UndeclaredEvent, UnknownAtom)
@@ -110,10 +112,6 @@ def parse_controller(text: str) -> ControllerFSM:
             raise ParseError(0, f"missing declaration {key!r}")
     if len(decls["initial"]) != 1:
         raise ParseError(0, "exactly one initial state expected")
-    states = set(decls["states"])
-    for src, event, output, target in transitions:
-        if src not in states or target not in states:
-            raise ParseError(0, f"transition uses undeclared state {src!r} or {target!r}")
     try:
         return ControllerFSM(states=tuple(decls["states"]),
                              initial=decls["initial"][0],
@@ -359,8 +357,10 @@ class AU(Formula):
     right: Formula
 
 
-_UNARY_TEMPORAL = {"EX": EX, "EF": EF, "EG": EG, "AX": AX, "AF": AF, "AG": AG,
-                   "G": AG}  # "G" is accepted as a spelling of AG
+# Each unary temporal operator is spelled as its class name, for parsing and
+# rendering alike; "G" is accepted as a spelling of AG.
+_TEMPORAL = (EX, EF, EG, AX, AF, AG)
+_UNARY_TEMPORAL = {op.__name__: op for op in _TEMPORAL} | {"G": AG}
 
 _TOKEN_RE = re.compile(r"\s*(->|[!&|()\[\]=]|[A-Za-z0-9_]+)")
 
@@ -488,61 +488,60 @@ def parse_ctl(text: str) -> Formula:
     return _CtlParser(text).parse()
 
 
+_BINARY = {Implies: ("->", 1), Or: ("|", 2), And: ("&", 3)}  # symbol, precedence
+
+
+class _Syntax(NamedTuple):
+    """What the report's CTL text and NuSMV's spell differently."""
+
+    until: str  # format of E/A until, given the quantifier and both operands
+    bare: tuple[type, ...]  # unary operands printed without parentheses
+    group_right: bool  # parenthesize a right operand of the same & or |
+
+
+_TEXT = _Syntax("{}[{} U {}]", (Const, Atom, Not, *_TEMPORAL), True)
+_SMV = _Syntax("{} [ {} U {} ]", (Const, Not), False)
+
+
+def _render(formula: Formula, atom_text: Callable[[str], str], syntax: _Syntax) -> str:
+    def unary(f: Formula) -> str:
+        text = render(f)
+        return text if isinstance(f, syntax.bare) else f"({text})"
+
+    def side(f: Formula, parent: type, right_side: bool) -> str:
+        # & and | parse left-associative, -> right-associative; parenthesize
+        # the sides that would re-associate differently.
+        text = render(f)
+        if type(f) in _BINARY and (
+                _BINARY[type(f)][1] < _BINARY[parent][1]
+                or type(f) is parent and (not right_side if parent is Implies
+                                          else right_side and syntax.group_right)):
+            return f"({text})"
+        return text
+
+    def render(f: Formula) -> str:
+        match f:
+            case Const(value):
+                return "TRUE" if value else "FALSE"
+            case Atom(name):
+                return atom_text(name)
+            case Not(inner):
+                return "!" + unary(inner)
+            case EX(inner) | EF(inner) | EG(inner) | AX(inner) | AF(inner) | AG(inner):
+                return f"{type(f).__name__} {unary(inner)}"
+            case And(left, right) | Or(left, right) | Implies(left, right):
+                return (f"{side(left, type(f), False)} {_BINARY[type(f)][0]} "
+                        f"{side(right, type(f), True)}")
+            case EU(left, right) | AU(left, right):
+                return syntax.until.format(type(f).__name__[0], render(left), render(right))
+        raise TypeError(f"not a formula: {f!r}")
+
+    return render(formula)
+
+
 def render_ctl(formula: Formula) -> str:
     """Canonical text rendering, parseable back by :func:`parse_ctl`."""
-    def needs_parens(f: Formula) -> bool:
-        return isinstance(f, (And, Or, Implies, EU, AU))
-
-    def unary_operand(f: Formula) -> str:
-        text = render_ctl(f)
-        return f"({text})" if needs_parens(f) else text
-
-    match formula:
-        case Const(value):
-            return "TRUE" if value else "FALSE"
-        case Atom(name):
-            return name
-        case Not(operand):
-            return "!" + unary_operand(operand)
-        case And(left, right):
-            return f"{_bin_side(left, And, False)} & {_bin_side(right, And, True)}"
-        case Or(left, right):
-            return f"{_bin_side(left, Or, False)} | {_bin_side(right, Or, True)}"
-        case Implies(left, right):
-            return f"{_bin_side(left, Implies, False)} -> {render_ctl(right)}"
-        case EX(operand):
-            return "EX " + unary_operand(operand)
-        case EF(operand):
-            return "EF " + unary_operand(operand)
-        case EG(operand):
-            return "EG " + unary_operand(operand)
-        case AX(operand):
-            return "AX " + unary_operand(operand)
-        case AF(operand):
-            return "AF " + unary_operand(operand)
-        case AG(operand):
-            return "AG " + unary_operand(operand)
-        case EU(left, right):
-            return f"E[{render_ctl(left)} U {render_ctl(right)}]"
-        case AU(left, right):
-            return f"A[{render_ctl(left)} U {render_ctl(right)}]"
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3}
-
-
-def _bin_side(f: Formula, parent: type, right_side: bool) -> str:
-    # & and | parse left-associative, -> right-associative; parenthesize the
-    # sides that would re-associate differently so render/parse round-trips.
-    text = render_ctl(f)
-    if type(f) in _PRECEDENCE and _PRECEDENCE[type(f)] < _PRECEDENCE[parent]:
-        return f"({text})"
-    if type(f) is parent and parent in (And, Or) and right_side:
-        return f"({text})"
-    if parent is Implies and isinstance(f, Implies):
-        return f"({text})"
-    return text
+    return _render(formula, str, _TEXT)
 
 
 # ---------------------------------------------------------------------------

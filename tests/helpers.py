@@ -7,6 +7,8 @@ unrolling (exact at |states| steps by the pigeonhole argument).  Two
 references keep the straightforward versions of optimized library code:
 reachability that tests every transition at every marking, and CTL labeling
 by round-based ``pre()`` fixpoints with the same ``stats['rounds']`` hook.
+Two more keep the separate report and SMV formula printers that one renderer
+replaced, to pin its bytes.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from itertools import combinations
 from plantmine.eventlog import Trace, TraceSet
 from plantmine.errors import BoundExceeded, UnknownAtom
 from plantmine.petri import (Marking, PetriNet, ReachabilityGraph,
-                             enabled_transitions, fire)
-from plantmine.transform import FSM, ActionMap, FunctionBlock
+                             enabled_transitions, fire, reachability_graph)
+from plantmine.transform import FSM, ActionMap, FunctionBlock, build_plant_fb, fsm_from_graph
 from plantmine.verify import (AF, AG, AU, EF, EG, EU, EX, AX, And, Atom, Const,
                               ControllerFSM, Formula, Implies, KripkeStructure,
                               Not, Or)
@@ -412,12 +414,15 @@ def satisfying_states_reference(k: KripkeStructure, formula: Formula,
 
 
 def random_formula(rng: random.Random, atoms: tuple[str, ...],
-                   depth: int = 3) -> Formula:
+                   depth: int = 3, constants: float = 0.0) -> Formula:
+    """A random formula; a leaf is ``TRUE``/``FALSE`` with probability ``constants``."""
     if depth == 0 or rng.random() < 0.2:
+        if constants and rng.random() < constants:
+            return Const(rng.random() < 0.5)
         return Atom(rng.choice(atoms))
     shape = rng.choice(("not", "and", "or", "implies",
                         "ex", "ef", "eg", "ax", "af", "ag", "eu", "au"))
-    sub = lambda: random_formula(rng, atoms, depth - 1)
+    sub = lambda: random_formula(rng, atoms, depth - 1, constants)
     if shape == "not":
         return Not(sub())
     if shape == "and":
@@ -441,6 +446,135 @@ def random_formula(rng: random.Random, atoms: tuple[str, ...],
     if shape == "eu":
         return EU(sub(), sub())
     return AU(sub(), sub())
+
+
+# ---------------------------------------------------------------------------
+# Reference renderers: the two separate CTL printers the library once had
+
+def render_ctl_reference(formula: Formula) -> str:
+    """The report syntax: ``E[p U q]``, unary operands bare unless binary or until."""
+    def needs_parens(f: Formula) -> bool:
+        return isinstance(f, (And, Or, Implies, EU, AU))
+
+    def unary_operand(f: Formula) -> str:
+        text = render_ctl_reference(f)
+        return f"({text})" if needs_parens(f) else text
+
+    match formula:
+        case Const(value):
+            return "TRUE" if value else "FALSE"
+        case Atom(name):
+            return name
+        case Not(operand):
+            return "!" + unary_operand(operand)
+        case And(left, right):
+            return f"{_bin_side(left, And, False)} & {_bin_side(right, And, True)}"
+        case Or(left, right):
+            return f"{_bin_side(left, Or, False)} | {_bin_side(right, Or, True)}"
+        case Implies(left, right):
+            return f"{_bin_side(left, Implies, False)} -> {render_ctl_reference(right)}"
+        case EX(operand):
+            return "EX " + unary_operand(operand)
+        case EF(operand):
+            return "EF " + unary_operand(operand)
+        case EG(operand):
+            return "EG " + unary_operand(operand)
+        case AX(operand):
+            return "AX " + unary_operand(operand)
+        case AF(operand):
+            return "AF " + unary_operand(operand)
+        case AG(operand):
+            return "AG " + unary_operand(operand)
+        case EU(left, right):
+            return f"E[{render_ctl_reference(left)} U {render_ctl_reference(right)}]"
+        case AU(left, right):
+            return f"A[{render_ctl_reference(left)} U {render_ctl_reference(right)}]"
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+_PRECEDENCE = {Implies: 1, Or: 2, And: 3}
+
+
+def _bin_side(f: Formula, parent: type, right_side: bool) -> str:
+    text = render_ctl_reference(f)
+    if type(f) in _PRECEDENCE and _PRECEDENCE[type(f)] < _PRECEDENCE[parent]:
+        return f"({text})"
+    if type(f) is parent and parent in (And, Or) and right_side:
+        return f"({text})"
+    if parent is Implies and isinstance(f, Implies):
+        return f"({text})"
+    return text
+
+
+def render_smv_formula_reference(formula: Formula, fb: FunctionBlock,
+                                 ctl: ControllerFSM) -> str:
+    """The SMV syntax: ``E [ p U q ]``, atoms mapped onto the instance paths."""
+    sensor_vars = set(fb.sensor_vars)
+    plant_states = {s.name for s in fb.states}
+    ctl_states = set(ctl.states)
+
+    def atom_text(name: str) -> str:
+        if name in sensor_vars:
+            return f"plant.{name} = TRUE"
+        if name.startswith("plant_state="):
+            value = name[len("plant_state="):]
+            if value in plant_states:
+                return f"plant.state = {value}"
+        if name.startswith("ctl_state="):
+            value = name[len("ctl_state="):]
+            if value in ctl_states:
+                return f"ctl.state = {value}"
+        raise UnknownAtom(name)
+
+    def unary_operand(f: Formula) -> str:
+        if isinstance(f, (Not, Const)):
+            return render(f)
+        return "(" + render(f) + ")"
+
+    precedence = {Implies: 1, Or: 2, And: 3}
+
+    def side(f: Formula, parent: type) -> str:
+        text = render(f)
+        if type(f) in precedence:
+            if precedence[type(f)] < precedence[parent]:
+                return f"({text})"
+            if parent is Implies and isinstance(f, Implies):
+                return f"({text})"
+        return text
+
+    def render(f: Formula) -> str:
+        match f:
+            case Const(value):
+                return "TRUE" if value else "FALSE"
+            case Atom(name):
+                return atom_text(name)
+            case Not(operand):
+                return "!" + unary_operand(operand)
+            case And(left, right):
+                return f"{side(left, And)} & {side(right, And)}"
+            case Or(left, right):
+                return f"{side(left, Or)} | {side(right, Or)}"
+            case Implies(left, right):
+                return f"{side(left, Implies)} -> {render(right)}"
+            case EX(op):
+                return "EX " + unary_operand(op)
+            case EF(op):
+                return "EF " + unary_operand(op)
+            case EG(op):
+                return "EG " + unary_operand(op)
+            case AX(op):
+                return "AX " + unary_operand(op)
+            case AF(op):
+                return "AF " + unary_operand(op)
+            case AG(op):
+                return "AG " + unary_operand(op)
+            case EU(left, right):
+                return f"E [ {render(left)} U {render(right)} ]"
+            case AU(left, right):
+                return f"A [ {render(left)} U {render(right)} ]"
+        raise TypeError(f"not a formula: {f!r}")
+
+    return render(formula)
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +688,43 @@ def ecc_words(fb: FunctionBlock, depth: int) -> set[tuple]:
             if len(new_word) <= depth:
                 stack.append((target, new_word))
     return words
+
+
+# ---------------------------------------------------------------------------
+# Concurrent plants built as nets
+
+def independent_cylinders(m: int) -> tuple[FunctionBlock, ControllerFSM]:
+    """m fixture cylinders side by side under a one-state reactive controller.
+
+    The net is built directly: one ring per cylinder ``A``, ``B``, ... with
+    one place after each action of the fixture cycle, marked before
+    ``HOME_x_ON`` so that no latch starts set.  The controller consumes every
+    sensor event and answers ``HOME_x_ON`` with ``EXT_x`` and ``END_x_ON``
+    with ``RET_x``.
+    """
+    places, transitions, arcs, marked = [], [], [], {}
+    sensors, commands, moves = {}, [], []
+    for tag in (chr(ord("A") + i) for i in range(m)):
+        cycle = [f"EXT_{tag}", f"HOME_{tag}_OFF", f"END_{tag}_ON",
+                 f"RET_{tag}", f"END_{tag}_OFF", f"HOME_{tag}_ON"]
+        for i, action in enumerate(cycle):
+            places.append(f"{tag}{i}")
+            arcs += [(action, f"{tag}{i}"), (f"{tag}{i}", cycle[(i + 1) % len(cycle)])]
+        transitions += cycle
+        marked[f"{tag}4"] = 1
+        for var in ("HOME", "END"):
+            sensors[f"{var}_{tag}_ON"] = (f"{var}_{tag}", True)
+            sensors[f"{var}_{tag}_OFF"] = (f"{var}_{tag}", False)
+        commands += [f"EXT_{tag}", f"RET_{tag}"]
+        moves += [("C0", f"HOME_{tag}_ON", f"EXT_{tag}", "C0"),
+                  ("C0", f"HOME_{tag}_OFF", None, "C0"),
+                  ("C0", f"END_{tag}_ON", f"RET_{tag}", "C0"),
+                  ("C0", f"END_{tag}_OFF", None, "C0")]
+    net = PetriNet(tuple(places), tuple(transitions), tuple(arcs))
+    graph = reachability_graph(net, Marking.of(marked))
+    fb = build_plant_fb(fsm_from_graph(graph),
+                        ActionMap.of(control=tuple(commands), sensors=sensors),
+                        {var: False for var, _ in sensors.values()}, name="CYLINDERS")
+    controller = ControllerFSM(states=("C0",), initial="C0", inputs=tuple(sensors),
+                               outputs=tuple(commands), transitions=tuple(moves))
+    return fb, controller

@@ -183,8 +183,9 @@ class TestStages:
         (["reach", "--fixture", "--marking", "p.HOME_ON..EXT=-1"], None),
         (["reach", "--fixture", "--marking", "nosuch=1"], None),
         (["mine"], ["source", "EXT"]),
+        (["pipeline", "--fixture", "--spec", "AG NOPE"], None),
     ], ids=["zero-traces", "empty-cycles", "zero-bound", "negative-marking",
-            "unknown-place", "action-named-source"])
+            "unknown-place", "action-named-source", "unknown-atom"])
     def test_invalid_value_exits_two(self, tmp_path, capsys, argv, actions):
         if actions is not None:
             log = tmp_path / "log.csv"

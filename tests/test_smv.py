@@ -3,14 +3,21 @@ from pathlib import Path
 
 import pytest
 
-from plantmine.errors import AlphabetMismatch, SmvUnsupported
-from plantmine.fixture import fixture_action_map, fixture_controller
+from plantmine import (alpha_discover, filter_component, fsm_from_graph, group_traces,
+                       reachability_graph, rest_position_marking, simulate_two_cylinder,
+                       strip_boundary)
+from plantmine.errors import AlphabetMismatch, SmvUnsupported, UnknownAtom
+from plantmine.fixture import (INITIAL_VALUATION, SimConfig, fixture_action_map,
+                               fixture_controller)
 from plantmine.smv import (emit_closed_loop, emit_controller_module,
                            emit_plant_module, render_smv_formula)
 from plantmine.transform import FSM, build_plant_fb
-from plantmine.verify import parse_ctl
+from plantmine.verify import (CompositeState, check_ctl, compose, parse_ctl,
+                              render_ctl)
 
-from helpers import random_controller, random_plant_fsm
+from helpers import (ctl_oracle, independent_cylinders, random_controller,
+                     random_formula, random_plant_fsm, render_smv_formula_reference)
+from smv_eval import SmvModel
 
 GOLDEN = Path(__file__).parent / "golden" / "fixture_closed_loop.smv"
 
@@ -126,3 +133,96 @@ class TestClosedLoop:
             assert document.text.count("MODULE") == 3
             assert document.text == emit_closed_loop(
                 fb, ctl, (parse_ctl("AG !(V0 & V1)"),)).text
+
+
+def _atoms(fb, ctl) -> tuple[str, ...]:
+    return (tuple(fb.sensor_vars) + tuple(f"plant_state={s.name}" for s in fb.states)
+            + tuple(f"ctl_state={c}" for c in ctl.states))
+
+
+class TestRenderSmvFormula:
+    def test_matches_reference_renderer(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            fsm, amap, initial = random_plant_fsm(rng, max_states=6)
+            fb = build_plant_fb(fsm, amap, initial)
+            ctl = random_controller(rng, fb)
+            for _ in range(20):
+                formula = random_formula(rng, _atoms(fb, ctl), depth=rng.randint(1, 5),
+                                         constants=0.1)
+                assert (render_smv_formula(formula, fb, ctl)
+                        == render_smv_formula_reference(formula, fb, ctl))
+
+    @pytest.mark.parametrize("atom", ["plant_state = Q99", "ctl_state = C9", "NOPE"])
+    def test_unknown_atom(self, fixture_fb, atom):
+        with pytest.raises(UnknownAtom):
+            render_smv_formula(parse_ctl(f"AG !({atom} & HOME)"),
+                               fixture_fb, fixture_controller())
+
+
+def _composite(state) -> CompositeState:
+    values = dict(state)
+    pending = values["pending"]
+    return CompositeState(values["plant.state"], values["ctl.state"],
+                          None if pending == "none" else pending)
+
+
+def assert_agrees(fb, ctl, formulas):
+    """The emitted SMV, read back, is compose()'s structure and has check_ctl's verdicts."""
+    model = SmvModel(emit_closed_loop(fb, ctl, formulas).text)
+    read_back = model.kripke()
+    built = compose(fb, ctl)
+    assert _composite(read_back.initial) == built.initial
+    assert ({_composite(s): {_composite(t) for _, t in read_back.successors[s]}
+             for s in read_back.states}
+            == {s: {t for _, t in built.successors[s]} for s in built.states})
+    assert len(model.specs) == len(formulas)
+    for spec, formula in zip(model.specs, formulas):
+        smv_holds = read_back.initial in ctl_oracle(read_back, spec)
+        assert smv_holds == check_ctl(built, formula).holds, render_ctl(formula)
+    return built
+
+
+def _random_specs(rng: random.Random, fb, ctl, count: int = 20) -> tuple:
+    return tuple(random_formula(rng, _atoms(fb, ctl), depth=rng.randint(1, 3), constants=0.1)
+                 for _ in range(count))
+
+
+class TestOfflineAgreement:
+    """An independent reading of closed_loop.smv against the built-in composition."""
+
+    def test_fixture(self, fixture_fb):
+        ctl = fixture_controller()
+        specs = (SAFETY, parse_ctl("AG EF HOME"), parse_ctl("EF END"),
+                 parse_ctl("AG (plant_state = Q3 -> AF ctl_state = C3)"))
+        assert_agrees(fixture_fb, ctl,
+                      specs + _random_specs(random.Random(5), fixture_fb, ctl))
+
+    def test_mutated_fixture(self):
+        log = simulate_two_cylinder(
+            SimConfig(n_traces=12, mutations=frozenset({"drop_sensor_off"})), 42)
+        stripped = strip_boundary(alpha_discover(group_traces(filter_component(log, "HC"))))
+        graph = reachability_graph(stripped, rest_position_marking(stripped))
+        fb = build_plant_fb(fsm_from_graph(graph), fixture_action_map(),
+                            INITIAL_VALUATION, name="HC_PLANT")
+        ctl = fixture_controller()
+        built = assert_agrees(fb, ctl, (SAFETY,) + _random_specs(random.Random(6), fb, ctl))
+        assert not check_ctl(built, SAFETY).holds
+
+    def test_random_plants(self):
+        # about half the draws never leave their initial composite state;
+        # draw enough that at least 100 do
+        rng = random.Random(67)
+        moving = 0
+        for _ in range(200):
+            fsm, amap, initial = random_plant_fsm(rng)
+            fb = build_plant_fb(fsm, amap, initial)
+            ctl = random_controller(rng, fb)
+            moving += len(assert_agrees(fb, ctl, _random_specs(rng, fb, ctl)).states) > 1
+        assert moving >= 100
+
+    def test_two_independent_cylinders(self):
+        fb, ctl = independent_cylinders(2)
+        specs = (parse_ctl("AG !(HOME_A & END_A)"), parse_ctl("EF END_A"),
+                 parse_ctl("AG EF HOME_B"))
+        assert_agrees(fb, ctl, specs + _random_specs(random.Random(7), fb, ctl))

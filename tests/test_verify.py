@@ -16,7 +16,7 @@ from plantmine.verify import (AG, AU, EF, EU, And, Atom, CompositeState,
 
 from helpers import (ctl_oracle, random_controller, random_formula,
                      random_kripke, random_multi_kripke, random_plant_fsm,
-                     satisfying_states_reference)
+                     render_ctl_reference, satisfying_states_reference)
 
 
 class TestParseController:
@@ -160,6 +160,16 @@ class TestParseCtl:
 
     def test_sensor_exclusion_renders_exactly(self):
         assert render_ctl(parse_ctl("AG !(HOME & END)")) == "AG !(HOME & END)"
+
+    def test_matches_reference_renderer(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            formula = random_formula(rng, ("p", "q", "r"), depth=rng.randint(1, 5),
+                                     constants=0.1)
+            assert render_ctl(formula) == render_ctl_reference(formula)
+
+    def test_smv_until_spelling_parses(self):
+        assert parse_ctl("E [ p U q ]") == parse_ctl("E[p U q]") == EU(Atom("p"), Atom("q"))
 
 
 def single_state_structure():
