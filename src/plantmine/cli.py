@@ -284,7 +284,6 @@ def _execute(args: argparse.Namespace) -> int:
 
 def _render_report(stage_lines: list[str], formulas, verdicts, structure, fb,
                    strict: bool, nusmv_lines: list[str], ok: bool) -> str:
-    sensor_vars = set(fb.sensor_vars)
     lines = ["plantmine verification report",
              "=============================",
              *stage_lines]
@@ -296,7 +295,8 @@ def _render_report(stage_lines: list[str], formulas, verdicts, structure, fb,
             lines.append(f"  counterexample ({len(verdict.counterexample)} states):")
             for index, step in enumerate(verdict.counterexample):
                 state = step.state
-                labels = ",".join(sorted(structure.labels[state] & sensor_vars)) or "-"
+                valuation = fb.state(state.plant).valuation
+                labels = ",".join(var for var, value in valuation if value) or "-"
                 via = f" [{step.event}]" if step.event else ""
                 lines.append(f"    {index}:{via} {state} labels={labels}")
     if structure.diagnostics:

@@ -222,5 +222,10 @@ def fitness(net: PetriNet, traces: TraceSet) -> float:
     """Fraction of traces that replay without missing tokens and end cleanly."""
     if not traces.traces:
         raise EmptyLog()
-    fitting = sum(1 for t in traces.traces if replay_trace(net, t).fits)
+    # one replay per distinct action sequence, counted once per trace
+    variants: dict[tuple[str, ...], list] = {}
+    for trace in traces.traces:
+        variants.setdefault(trace.actions, [trace, 0])[1] += 1
+    fitting = sum(count for trace, count in variants.values()
+                  if replay_trace(net, trace).fits)
     return fitting / len(traces.traces)

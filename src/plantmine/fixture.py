@@ -20,7 +20,7 @@ from .errors import MarkingRequired
 from .eventlog import Event, EventLog
 from .petri import Marking, PetriNet
 from .transform import ActionMap
-from .verify import ControllerFSM
+from .verify import ControllerFSM, parse_controller
 
 COMPONENT = "HC"
 CYCLE = ("EXT", "HOME_OFF", "END_ON", "RET", "END_OFF", "HOME_ON")
@@ -37,13 +37,11 @@ DEFAULT_BASE_TIME = datetime(2021, 5, 10, 10, 0, 0, tzinfo=timezone.utc)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulator configuration: trace count, cycles-per-trace range, timing, mutations."""
+    """Simulator configuration: trace count, cycles-per-trace range, mutations."""
 
     n_traces: int = 1
     cycles_min: int = 1
     cycles_max: int = 3
-    base_time: datetime = DEFAULT_BASE_TIME
-    step_millis: int = 1000
     mutations: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -52,8 +50,6 @@ class SimConfig:
             raise ValueError("n_traces must be at least 1")
         if not 1 <= self.cycles_min <= self.cycles_max:
             raise ValueError("cycles range must be non-empty and positive")
-        if self.step_millis <= 0:
-            raise ValueError("step_millis must be positive")
         unknown = self.mutations - MUTATIONS
         if unknown:
             raise ValueError(f"unknown mutations: {sorted(unknown)}")
@@ -64,7 +60,7 @@ def simulate_two_cylinder(cfg: SimConfig, seed: int) -> EventLog:
 
     Trace i (process id ``str(i+1)``) repeats the six-action cycle a seeded
     number of times within the configured range.  Timestamps advance by one
-    step per emitted event across the whole log.
+    second per emitted event across the whole log.
     """
     rng = random.Random(seed)
     events = []
@@ -76,7 +72,7 @@ def simulate_two_cylinder(cfg: SimConfig, seed: int) -> EventLog:
         if "drop_sensor_off" in cfg.mutations:
             actions = [a for a in actions if a not in _SENSOR_OFF]
         for action in actions:
-            stamp = cfg.base_time + timedelta(milliseconds=step * cfg.step_millis)
+            stamp = DEFAULT_BASE_TIME + timedelta(seconds=step)
             events.append(Event(process_id, stamp, COMPONENT, action))
             step += 1
     return EventLog(tuple(events))
@@ -92,15 +88,7 @@ def fixture_action_map() -> ActionMap:
 
 def fixture_controller() -> ControllerFSM:
     """A four-state controller closing the loop: extend at home, retract at the end."""
-    return ControllerFSM(
-        states=("C0", "C1", "C2", "C3"),
-        initial="C0",
-        inputs=("HOME_ON", "HOME_OFF", "END_ON", "END_OFF"),
-        outputs=("EXT", "RET"),
-        transitions=(("C0", "HOME_ON", "EXT", "C1"),
-                     ("C1", "HOME_OFF", None, "C2"),
-                     ("C2", "END_ON", "RET", "C3"),
-                     ("C3", "END_OFF", None, "C0")))
+    return parse_controller(FIXTURE_CONTROLLER_TEXT)
 
 
 FIXTURE_CONTROLLER_TEXT = """\

@@ -88,15 +88,16 @@ def emit_plant_module(fb: FunctionBlock) -> str:
     lines.append("    TRUE : state;")
     lines.append("  esac;")
 
-    lines.append("DEFINE")
-    for var in fb.sensor_vars:
-        true_in = [s.name for s in fb.states if s.valuation_dict().get(var)]
-        if true_in:
-            lines.append(f"  {var} := state in {{{', '.join(true_in)}}};")
-        else:
-            lines.append(f"  {var} := FALSE;")
-    if not fb.sensor_vars:
-        lines.pop()  # DEFINE with no entries is invalid SMV
+    true_in: dict[str, list[str]] = {var: [] for var in fb.sensor_vars}
+    for state in fb.states:
+        for var, value in state.valuation:
+            if value:
+                true_in[var].append(state.name)
+    if true_in:  # DEFINE with no entries is invalid SMV
+        lines.append("DEFINE")
+    for var, names in true_in.items():
+        lines.append(f"  {var} := state in {{{', '.join(names)}}};" if names
+                     else f"  {var} := FALSE;")
     return "\n".join(lines) + "\n"
 
 

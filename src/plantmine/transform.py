@@ -170,9 +170,6 @@ class EccState:
     emission: str | None
     valuation: tuple[tuple[str, bool], ...]
 
-    def valuation_dict(self) -> dict[str, bool]:
-        return dict(self.valuation)
-
 
 @dataclass(frozen=True)
 class FunctionBlock:
@@ -190,6 +187,7 @@ class FunctionBlock:
     states: tuple[EccState, ...]
     initial_state: str
     transitions: tuple[tuple[str, str | None, str], ...]
+    sensor_vars: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, EccState] = field(init=False, repr=False, compare=False)
     _targets: dict[tuple[str, str | None], tuple[str, ...]] = field(
         init=False, repr=False, compare=False)
@@ -228,6 +226,8 @@ class FunctionBlock:
                 if by_name[dst].emission is not None:
                     raise ValueError(f"input-guarded transition targets emitting state {dst!r}")
             targets.setdefault((src, guard), []).append(dst)
+        object.__setattr__(self, "sensor_vars", tuple(sorted(
+            {var for state in self.states for var, _ in state.valuation})))
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_targets", {key: tuple(dsts) for key, dsts in targets.items()})
 
@@ -237,22 +237,11 @@ class FunctionBlock:
     def emission(self, name: str) -> str | None:
         return self.state(name).emission
 
-    def valuation(self, name: str) -> dict[str, bool]:
-        return self.state(name).valuation_dict()
-
-    @property
-    def sensor_vars(self) -> tuple[str, ...]:
-        return tuple(sorted({var for s in self.states for var, _ in s.valuation}))
-
     def ndt_edges(self, source: str) -> tuple[str, ...]:
         return self._targets.get((source, None), ())
 
     def control_edges(self, source: str, guard: str) -> tuple[str, ...]:
         return self._targets.get((source, guard), ())
-
-
-def _canon_valuation(valuation: Mapping[str, bool]) -> tuple[tuple[str, bool], ...]:
-    return tuple(sorted((var, bool(val)) for var, val in valuation.items()))
 
 
 def build_plant_fb(fsm: FSM, amap: ActionMap,
@@ -277,11 +266,17 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
     :class:`InconsistentLabeling`.
     """
     control, sensor = classify_alphabet(fsm, amap)
+    # Valuations are tuples aligned with the sorted variables: entering an
+    # announcing state rewrites the one slot its sensor sets, any other entry
+    # shares the source's tuple.
     variables = sorted(initial_valuation)
+    slot = {var: i for i, var in enumerate(variables)}
+    writes: dict[str, tuple[int, tuple[str, bool]]] = {}
     for action in sorted(sensor):
-        var = amap.effect(action)[0]
-        if var not in initial_valuation:
+        var, value = amap.effect(action)
+        if var not in slot:
             raise ValueError(f"initial valuation missing sensor variable {var!r}")
+        writes[action] = (slot[var], (var, bool(value)))
 
     control_targets = {dst for _, label, dst in fsm.edges if label in control}
     incoming_sensor_labels: dict[str, set[str]] = {}
@@ -314,31 +309,29 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
             transitions.append((mid, None, dst))
 
     all_states = list(fsm.states) + extra_states
-    outgoing: dict[str, list[tuple[str | None, str]]] = {s: [] for s in all_states}
-    for src, guard, dst in transitions:
-        outgoing[src].append((guard, dst))
+    outgoing: dict[str, list[str]] = {s: [] for s in all_states}
+    for src, _, dst in transitions:
+        outgoing[src].append(dst)
 
-    valuations: dict[str, tuple[tuple[str, bool], ...]] = {
-        fsm.initial: _canon_valuation(initial_valuation)}
+    rest = tuple((var, bool(initial_valuation[var])) for var in variables)
+    valuations = {fsm.initial: rest}
     queue = deque([fsm.initial])
     while queue:
         current = queue.popleft()
-        base = dict(valuations[current])
-        for _, dst in outgoing[current]:
-            derived = dict(base)
-            if dst in emission:
-                var, value = amap.effect(emission[dst])
-                derived[var] = value
-            canon = _canon_valuation(derived)
+        base = valuations[current]
+        for dst in outgoing[current]:
             if dst == fsm.initial:
                 continue
+            derived = base
+            if dst in emission:
+                index, latch = writes[emission[dst]]
+                derived = base[:index] + (latch,) + base[index + 1:]
             if dst not in valuations:
-                valuations[dst] = canon
+                valuations[dst] = derived
                 queue.append(dst)
-            elif valuations[dst] != canon:
+            elif valuations[dst] != derived:
                 raise InconsistentLabeling(dst)
 
-    rest = _canon_valuation(initial_valuation)
     states = tuple(EccState(s, emission.get(s), valuations.get(s, rest))
                    for s in all_states)
     return FunctionBlock(name=name,

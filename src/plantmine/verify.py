@@ -214,8 +214,7 @@ def compose(plant: FunctionBlock, ctl: ControllerFSM,
     atoms.update(f"ctl_state={c}" for c in ctl.states)
 
     def labels_of(state: CompositeState) -> frozenset[str]:
-        valuation = plant.valuation(state.plant)
-        props = {var for var, value in valuation.items() if value}
+        props = {var for var, value in plant.state(state.plant).valuation if value}
         props.add(f"plant_state={state.plant}")
         props.add(f"ctl_state={state.ctl}")
         return frozenset(props)

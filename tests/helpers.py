@@ -8,7 +8,8 @@ references keep the straightforward versions of optimized library code:
 reachability that tests every transition at every marking, and CTL labeling
 by round-based ``pre()`` fixpoints with the same ``stats['rounds']`` hook.
 Two more keep the separate report and SMV formula printers that one renderer
-replaced, to pin its bytes.
+replaced, to pin its bytes, and one the plant transformation's dict-based
+latch propagation, to pin the tuple-slot version.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import combinations
+from typing import Mapping
 
 from plantmine.eventlog import Trace, TraceSet
-from plantmine.errors import BoundExceeded, UnknownAtom
+from plantmine.errors import BoundExceeded, InconsistentLabeling, UnknownAtom
 from plantmine.petri import (Marking, PetriNet, ReachabilityGraph,
                              enabled_transitions, fire, reachability_graph)
-from plantmine.transform import FSM, ActionMap, FunctionBlock, build_plant_fb, fsm_from_graph
+from plantmine.transform import (FSM, ActionMap, EccState, FunctionBlock, build_plant_fb,
+                                 classify_alphabet, fsm_from_graph)
 from plantmine.verify import (AF, AG, AU, EF, EG, EU, EX, AX, And, Atom, Const,
                               ControllerFSM, Formula, Implies, KripkeStructure,
                               Not, Or)
@@ -598,17 +601,24 @@ def random_plant_fsm(rng: random.Random, max_states: int = 10):
     Assigning a fixed valuation per state first and labeling edges from the
     valuation difference guarantees the transformation's propagation is
     conflict-free; it also rules out spontaneous self-loops (a sensor edge
-    always changes the valuation).
+    always changes the valuation).  Every state after the first copies an
+    earlier state's valuation with one latch flipped and is entered from it
+    by that sensor edge, so the plant leaves its initial state on its own and
+    reaches every state by spontaneous moves.
     """
     n = rng.randint(2, max_states)
     states = [f"Q{i}" for i in range(n)]
-    valuations = {s: {v: rng.random() < 0.5 for v in PLANT_VARIABLES}
-                  for s in states}
+    valuations = {states[0]: {v: rng.random() < 0.5 for v in PLANT_VARIABLES}}
+    edges = []
+    for s in states[1:]:
+        parent = rng.choice(list(valuations))
+        var = rng.choice(PLANT_VARIABLES)
+        valuations[s] = {**valuations[parent], var: not valuations[parent][var]}
+        edges.append((parent, f"{var}_{'ON' if valuations[s][var] else 'OFF'}", s))
 
     def hamming(a: str, b: str) -> int:
         return sum(valuations[a][v] != valuations[b][v] for v in PLANT_VARIABLES)
 
-    edges = []
     for s in states:
         candidates = [t for t in states if hamming(s, t) <= 1]
         for _ in range(rng.randint(0, 2)):
@@ -638,6 +648,94 @@ def random_controller(rng: random.Random, fb: FunctionBlock) -> ControllerFSM:
     return ControllerFSM(states=states, initial=states[0],
                          inputs=tuple(fb.event_outputs),
                          outputs=tuple(fb.event_inputs),
+                         transitions=tuple(transitions))
+
+
+# ---------------------------------------------------------------------------
+# Plant-block reference
+
+def _canon_valuation_reference(valuation: Mapping[str, bool]) -> tuple[tuple[str, bool], ...]:
+    return tuple(sorted((var, bool(val)) for var, val in valuation.items()))
+
+
+def build_plant_fb_reference(fsm: FSM, amap: ActionMap,
+                             initial_valuation: Mapping[str, bool],
+                             name: str = "PLANT") -> FunctionBlock:
+    """The plant-model transformation with dict-based latch propagation.
+
+    Kept to pin the block, the ``plantfb`` bytes and the state named by
+    :class:`InconsistentLabeling` of the tuple-slot propagation.
+    """
+    control, sensor = classify_alphabet(fsm, amap)
+    variables = sorted(initial_valuation)
+    for action in sorted(sensor):
+        var = amap.effect(action)[0]
+        if var not in initial_valuation:
+            raise ValueError(f"initial valuation missing sensor variable {var!r}")
+
+    control_targets = {dst for _, label, dst in fsm.edges if label in control}
+    incoming_sensor_labels: dict[str, set[str]] = {}
+    for _, label, dst in fsm.edges:
+        if label in sensor:
+            incoming_sensor_labels.setdefault(dst, set()).add(label)
+    hostable = {dst for dst, labels in incoming_sensor_labels.items()
+                if len(labels) == 1 and dst not in control_targets}
+
+    emission: dict[str, str] = {}
+    taken = set(fsm.states)
+    transitions: list[tuple[str, str | None, str]] = []
+    extra_states: list[str] = []
+
+    for src, label, dst in fsm.edges:
+        if label in control:
+            transitions.append((src, label, dst))
+            continue
+        if dst in hostable:
+            emission[dst] = label
+            transitions.append((src, None, dst))
+        else:
+            mid = f"{src}__{label}__{dst}"
+            while mid in taken:
+                mid += "_i"
+            taken.add(mid)
+            extra_states.append(mid)
+            emission[mid] = label
+            transitions.append((src, None, mid))
+            transitions.append((mid, None, dst))
+
+    all_states = list(fsm.states) + extra_states
+    outgoing: dict[str, list[tuple[str | None, str]]] = {s: [] for s in all_states}
+    for src, guard, dst in transitions:
+        outgoing[src].append((guard, dst))
+
+    valuations: dict[str, tuple[tuple[str, bool], ...]] = {
+        fsm.initial: _canon_valuation_reference(initial_valuation)}
+    queue = deque([fsm.initial])
+    while queue:
+        current = queue.popleft()
+        base = dict(valuations[current])
+        for _, dst in outgoing[current]:
+            derived = dict(base)
+            if dst in emission:
+                var, value = amap.effect(emission[dst])
+                derived[var] = value
+            canon = _canon_valuation_reference(derived)
+            if dst == fsm.initial:
+                continue
+            if dst not in valuations:
+                valuations[dst] = canon
+                queue.append(dst)
+            elif valuations[dst] != canon:
+                raise InconsistentLabeling(dst)
+
+    rest = _canon_valuation_reference(initial_valuation)
+    states = tuple(EccState(s, emission.get(s), valuations.get(s, rest))
+                   for s in all_states)
+    return FunctionBlock(name=name,
+                         event_inputs=tuple(sorted(control)),
+                         event_outputs=tuple(sorted(sensor)),
+                         states=states,
+                         initial_state=fsm.initial,
                          transitions=tuple(transitions))
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from plantmine import discovery
 from plantmine.discovery import (Relation, alpha_discover, fitness, footprint,
                                  maximal_pairs, place_id, replay_trace)
 from plantmine.errors import EmptyLog, EmptyTrace, UnknownAction
@@ -163,6 +164,27 @@ class TestFitness:
         net = alpha_discover(traces)
         mixed = TraceSet((Trace("1", ("a", "b")), Trace("2", ("b", "a"))))
         assert fitness(net, mixed) == 0.5
+
+    def test_replays_each_distinct_trace_once(self, monkeypatch, fixture_net,
+                                              fixture_traces):
+        # counted through the module global that fitness calls
+        net = alpha_discover(traceset(("a", "b")))
+        rows = [("a", "b"), ("b", "a"), ("a", "b"), ("a", "b"), ("b", "a")]
+        mixed = TraceSet(tuple(Trace(str(i), row) for i, row in enumerate(rows)))
+        per_trace = (sum(replay_trace(fixture_net, t).fits for t in fixture_traces.traces)
+                     / len(fixture_traces))
+        calls = []
+
+        def counting(net, trace):
+            calls.append(trace.actions)
+            return replay_trace(net, trace)
+
+        monkeypatch.setattr(discovery, "replay_trace", counting)
+        assert fitness(net, mixed) == 0.6
+        assert calls == [("a", "b"), ("b", "a")]
+        calls.clear()
+        assert fitness(fixture_net, fixture_traces) == per_trace
+        assert len(calls) == len({t.actions for t in fixture_traces.traces}) < len(fixture_traces)
 
     def test_empty_raises(self):
         net = alpha_discover(traceset(("a", "b")))

@@ -23,7 +23,8 @@ def check_block(fb):
     for state in fb.states:
         assert fb.state(state.name) == [s for s in fb.states if s.name == state.name][0]
         assert fb.emission(state.name) == state.emission
-        assert fb.valuation(state.name) == dict(state.valuation)
+    assert fb.sensor_vars == tuple(sorted(
+        {var for state in fb.states for var, _ in state.valuation}))
     with pytest.raises(KeyError):
         fb.state(UNKNOWN)
     for source in [s.name for s in fb.states] + [UNKNOWN]:

@@ -37,3 +37,11 @@ def test_traced_deep_plant_run():
     # specs, and the failing AG's witness runs 896 steps down the line
     assert metrics["verify.fixpoint_rounds"]["value"] == 904
     assert metrics["verify.counterexample_len"]["value"] == 896
+
+
+def test_traced_wide_plant_run():
+    metrics = traced_metrics("wide-plant")
+    # three cylinders and a gripper: 864 markings plus 2,160
+    # intermediate announcing states
+    assert metrics["transform.fb_states"]["value"] == 3024
+    assert metrics["transform.announcing_states"]["value"] == 2160

@@ -9,7 +9,7 @@ from plantmine.transform import (FSM, ActionKind, build_plant_fb,
                                  fsm_from_graph,
                                  parse_action_map, parse_fb)
 
-from helpers import ecc_words, fsm_words, random_plant_fsm
+from helpers import build_plant_fb_reference, ecc_words, fsm_words, random_plant_fsm
 
 
 class TestActionMap:
@@ -85,7 +85,7 @@ class TestBuildPlantFb:
         assert ("Q0", "EXT", "Q1") in fb.transitions
         assert ("Q1", None, "Q2") in fb.transitions
         assert fb.emission("Q2") == "END_ON"
-        assert fb.valuation("Q2") == {"HOME": True, "END": True}
+        assert dict(fb.state("Q2").valuation) == {"HOME": True, "END": True}
 
     def test_conflicting_emissions_insert_intermediates(self):
         # two different sensor events entering the same target: both route
@@ -144,7 +144,7 @@ class TestBuildPlantFb:
         fsm = FSM(states=("Q0", "Q1"), initial="Q0",
                   edges=(("Q0", "END_ON", "Q1"), ("Q1", "HOME_ON", "Q0")))
         fb = build_plant_fb(fsm, fixture_action_map(), INITIAL_VALUATION)
-        assert fb.valuation("Q0") == INITIAL_VALUATION
+        assert dict(fb.state("Q0").valuation) == INITIAL_VALUATION
 
     def test_missing_sensor_variable_rejected(self):
         fsm = FSM(states=("Q0", "Q1"), initial="Q0",
@@ -181,6 +181,61 @@ class TestBuildPlantFb:
             # intermediate or the target is the pinned initial state
             assert fb is not None
         assert raised > 0
+
+
+def _flip_sensor_edge(rng, fsm):
+    """The FSM with one random sensor edge given the opposite effect."""
+    sensor = [i for i, (_, label, _) in enumerate(fsm.edges)
+              if label.endswith(("_ON", "_OFF"))]
+    edges = list(fsm.edges)
+    index = rng.choice(sensor)
+    src, label, dst = edges[index]
+    stem, _, polarity = label.rpartition("_")
+    edges[index] = (src, f"{stem}_{'OFF' if polarity == 'ON' else 'ON'}", dst)
+    return FSM(states=fsm.states, initial=fsm.initial, edges=tuple(edges))
+
+
+def _add_unreachable(rng, fsm, amap):
+    """The FSM plus 1-3 states that nothing reachable enters, with random edges out."""
+    extra = tuple(f"U{i}" for i in range(rng.randint(1, 3)))
+    states = fsm.states + extra
+    edges = list(fsm.edges)
+    for source in extra:
+        for _ in range(rng.randint(1, 3)):
+            edges.append((source, rng.choice(amap.actions), rng.choice(states)))
+    return FSM(states=states, initial=fsm.initial, edges=tuple(edges))
+
+
+class TestReferencePropagation:
+    def test_matches_dict_propagation(self):
+        # the tuple-slot propagation against the dict-based one it replaced:
+        # equal blocks and plantfb bytes, or the same InconsistentLabeling
+        rng = random.Random(71)
+        outcomes = {"plain": [0, 0], "flipped": [0, 0], "unreachable": [0, 0]}
+        for _ in range(120):
+            fsm, amap, initial = random_plant_fsm(rng)
+            # an unwritten latch on either side of V0, V1 shifts the slots
+            extra = {rng.choice(("A", "Z")): rng.random() < 0.5}
+            for kind, variant, valuation in (
+                    ("plain", fsm, initial),
+                    ("flipped", _flip_sensor_edge(rng, fsm), initial),
+                    ("unreachable", _add_unreachable(rng, fsm, amap),
+                     {**initial, **extra})):
+                try:
+                    expected = build_plant_fb_reference(variant, amap, valuation)
+                except InconsistentLabeling as reference_error:
+                    with pytest.raises(InconsistentLabeling) as error:
+                        build_plant_fb(variant, amap, valuation)
+                    assert error.value.state == reference_error.state
+                    outcomes[kind][1] += 1
+                    continue
+                fb = build_plant_fb(variant, amap, valuation)
+                assert fb == expected
+                assert export_fb(fb) == export_fb(expected)
+                outcomes[kind][0] += 1
+        assert outcomes["plain"] == [120, 0]
+        assert min(outcomes["flipped"]) > 0
+        assert outcomes["unreachable"][0] > 0
 
 
 class TestFbDocument:

@@ -314,3 +314,14 @@ class TestClosedLoopWithRandomPlants:
                 assert len(k.successors[state]) >= 1
             formula = parse_ctl("AG !(V0 & V1)")
             assert check_ctl(k, formula).holds in (True, False)
+
+    def test_random_plants_leave_their_initial_state(self):
+        # every draw enters Q1 from Q0 by a sensor edge, so the closed loop
+        # moves whatever the controller does
+        rng = random.Random(67)
+        moving = 0
+        for _ in range(200):
+            fsm, amap, initial = random_plant_fsm(rng, max_states=10)
+            fb = build_plant_fb(fsm, amap, initial)
+            moving += len(compose(fb, random_controller(rng, fb)).states) > 1
+        assert moving >= 180
