@@ -8,9 +8,10 @@ per process scenario before mining.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 from xml.sax.saxutils import quoteattr
 
 from .errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
@@ -26,31 +27,58 @@ def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 instant and normalize it to UTC.
 
     A trailing ``Z`` is accepted as the UTC designator; naive timestamps are
-    rejected because they do not denote an unambiguous instant.
+    rejected because they do not denote an unambiguous instant, and so are
+    instants whose UTC form falls outside years 1 to 9999.  Every rejection
+    raises :class:`ValueError`.
     """
     raw = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
     stamp = datetime.fromisoformat(raw)
     if stamp.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no UTC offset")
-    return stamp.astimezone(timezone.utc)
+    try:
+        return stamp.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def format_timestamp(stamp: datetime) -> str:
-    """Render a UTC instant in the log's ISO-8601 style (millisecond precision at most)."""
+    """Render an instant in the log's canonical UTC form.
+
+    ``YYYY-MM-DDTHH:MM:SSZ``, with ``.mmm`` milliseconds before the ``Z``
+    only when the microseconds are non-zero (they are truncated, not
+    rounded).  The year is always four digits.
+    """
     stamp = stamp.astimezone(timezone.utc)
-    if stamp.microsecond:
-        return stamp.strftime("%Y-%m-%dT%H:%M:%S.") + f"{stamp.microsecond // 1000:03d}Z"
-    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+    text = stamp.isoformat()
+    return text[:23] + "Z" if stamp.microsecond else text[:19] + "Z"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One recorded observation: which component did what, when, in which scenario."""
+def _is_canonical(text: str) -> bool:
+    """Whether ``text`` has the exact shape :func:`format_timestamp` prints.
+
+    Only the separators are checked: a text of that shape that parses at all
+    denotes a UTC instant whose canonical form is the text itself.
+    """
+    if len(text) == 20:
+        return text[4::3] == "--T::Z"
+    return (len(text) == 24 and text[4:20:3] == "--T::." and text[23] == "Z"
+            and text[20:23] != "000")
+
+
+class Event(NamedTuple):
+    """One recorded observation: which component did what, when, in which scenario.
+
+    ``timestamp`` is the UTC instant events are ordered by;
+    ``timestamp_text`` is its canonical form (:func:`format_timestamp`),
+    worked out once when the event is made.  The exporters write the text
+    and never format the instant.
+    """
 
     process_id: str
     timestamp: datetime
     component: str
     action: str
+    timestamp_text: str
 
 
 @dataclass(frozen=True)
@@ -68,11 +96,17 @@ class EventLog:
 
 @dataclass(frozen=True)
 class Trace:
-    """The action sequence of one process scenario, ordered by timestamp."""
+    """The action sequence of one process scenario, ordered by timestamp.
+
+    :func:`group_traces` fills ``timestamps`` and their canonical texts
+    ``timestamp_texts`` (:func:`format_timestamp`) together; a trace
+    without ``timestamp_texts`` is exported without dates.
+    """
 
     process_id: str
     actions: tuple[str, ...]
     timestamps: tuple[datetime, ...] | None = None
+    timestamp_texts: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -80,10 +114,11 @@ class TraceSet:
     """A grouped log: one trace per process id."""
 
     traces: tuple[Trace, ...] = ()
+    alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    @property
-    def alphabet(self) -> frozenset[str]:
-        return frozenset(a for t in self.traces for a in t.actions)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alphabet",
+                           frozenset(a for t in self.traces for a in t.actions))
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -94,47 +129,72 @@ def parse_csv(text: str) -> EventLog:
 
     The header row is mandatory and validated by name.  Fields may not contain
     commas (there is no quoting layer); a row with the wrong column count
-    raises :class:`MalformedRow` with its 1-based line number.
+    raises :class:`MalformedRow` with its 1-based line number.  Each distinct
+    component or action name is checked against :data:`NAME_RE` once, on the
+    first row that carries it.  A timestamp already in canonical form is kept
+    as its own text; any other is formatted once.
     """
     lines = text.splitlines()
     if not lines:
         raise MissingHeader()
-    header = tuple(field.strip() for field in lines[0].rstrip("\r").split(","))
+    header = tuple(name.strip() for name in lines[0].split(","))
     if header != CSV_HEADER:
         raise MissingHeader()
 
+    # Every name that passed NAME_RE, mapped to itself: events share one
+    # string per distinct name, and consecutive rows of one process share
+    # their process id.
+    valid_names: dict[str, str] = {}
+    previous_id = ""
     events = []
     for line_no, raw in enumerate(lines[1:], start=2):
-        fields = raw.rstrip("\r").split(",")
+        fields = raw.split(",")
         if len(fields) != 4:
             raise MalformedRow(line_no)
         process_id, stamp_text, component, action = fields
         if not process_id:
             raise MalformedRow(line_no, "empty processId")
-        if not NAME_RE.match(component):
+        if process_id == previous_id:
+            process_id = previous_id
+        previous_id = process_id
+        if component in valid_names:
+            component = valid_names[component]
+        elif NAME_RE.match(component):
+            valid_names[component] = component
+        else:
             raise MalformedRow(line_no, f"invalid component {component!r}")
-        if not NAME_RE.match(action):
+        if action in valid_names:
+            action = valid_names[action]
+        elif NAME_RE.match(action):
+            valid_names[action] = action
+        else:
             raise MalformedRow(line_no, f"invalid action {action!r}")
         try:
-            stamp = parse_timestamp(stamp_text)
+            if _is_canonical(stamp_text):
+                stamp = datetime.fromisoformat(stamp_text[:-1] + "+00:00")
+                canonical = stamp_text
+            else:
+                stamp = parse_timestamp(stamp_text)
+                canonical = format_timestamp(stamp)
         except ValueError:
             raise BadTimestamp(line_no, stamp_text) from None
-        events.append(Event(process_id, stamp, component, action))
+        events.append(Event(process_id, stamp, component, action, canonical))
     return EventLog(tuple(events))
 
 
 def export_csv(log: EventLog) -> str:
     """Render an event log back to the CSV schema (LF endings, trailing newline)."""
     lines = [",".join(CSV_HEADER)]
-    for event in log:
-        lines.append(",".join((event.process_id, format_timestamp(event.timestamp),
-                               event.component, event.action)))
+    lines += [f"{e.process_id},{e.timestamp_text},{e.component},{e.action}" for e in log]
     return "\n".join(lines) + "\n"
 
 
 def filter_component(log: EventLog, component: str) -> EventLog:
     """Keep exactly the events of one component, preserving order."""
     return EventLog(tuple(e for e in log if e.component == component))
+
+
+_BY_TIME = itemgetter(1)  # Event.timestamp
 
 
 def group_traces(log: EventLog) -> TraceSet:
@@ -151,10 +211,9 @@ def group_traces(log: EventLog) -> TraceSet:
         grouped.setdefault(event.process_id, []).append(event)
     traces = []
     for process_id, events in grouped.items():
-        ordered = sorted(events, key=lambda e: e.timestamp)
-        traces.append(Trace(process_id,
-                            tuple(e.action for e in ordered),
-                            tuple(e.timestamp for e in ordered)))
+        events.sort(key=_BY_TIME)
+        _, stamps, _, actions, texts = zip(*events)
+        traces.append(Trace(process_id, actions, stamps, texts))
     return TraceSet(tuple(traces))
 
 
@@ -163,23 +222,28 @@ def export_xes(traces: TraceSet) -> str:
 
     Only the attributes the mining step needs are emitted: ``concept:name``
     on traces and events, and ``time:timestamp`` on events when the trace
-    carries timestamps.
+    carries timestamps.  Each distinct action is quoted once, and each trace
+    becomes one string.
     """
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
-             '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">']
+    event_head = {action: ('    <event>\n'
+                           f'      <string key="concept:name" value={quoteattr(action)}/>\n')
+                  for action in traces.alphabet}
+    # canonical stamp texts hold only digits, '-', ':', '.', 'T' and 'Z',
+    # so they need no quoting
+    date_head = '      <date key="time:timestamp" value="'
+    date_tail = '"/>\n    </event>\n'
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+             '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n']
     for trace in traces.traces:
-        lines.append("  <trace>")
-        lines.append(f'    <string key="concept:name" value={quoteattr(trace.process_id)}/>')
-        for index, action in enumerate(trace.actions):
-            lines.append("    <event>")
-            lines.append(f'      <string key="concept:name" value={quoteattr(action)}/>')
-            if trace.timestamps is not None:
-                stamp = format_timestamp(trace.timestamps[index])
-                lines.append(f'      <date key="time:timestamp" value={quoteattr(stamp)}/>')
-            lines.append("    </event>")
-        lines.append("  </trace>")
-    lines.append("</log>")
-    return "\n".join(lines) + "\n"
+        head = f'  <trace>\n    <string key="concept:name" value={quoteattr(trace.process_id)}/>\n'
+        if trace.timestamp_texts is None:
+            body = "".join(f"{event_head[a]}    </event>\n" for a in trace.actions)
+        else:
+            body = "".join(f"{event_head[a]}{date_head}{t}{date_tail}"
+                           for a, t in zip(trace.actions, trace.timestamp_texts))
+        parts.append(f"{head}{body}  </trace>\n")
+    parts.append("</log>\n")
+    return "".join(parts)
 
 
 def collapse_duplicate_traces(traces: TraceSet) -> tuple[tuple[str, ...], ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 from .errors import MarkingRequired
-from .eventlog import Event, EventLog
+from .eventlog import Event, EventLog, format_timestamp
 from .petri import Marking, PetriNet
 from .transform import ActionMap
 from .verify import ControllerFSM, parse_controller
@@ -73,7 +73,8 @@ def simulate_two_cylinder(cfg: SimConfig, seed: int) -> EventLog:
             actions = [a for a in actions if a not in _SENSOR_OFF]
         for action in actions:
             stamp = DEFAULT_BASE_TIME + timedelta(seconds=step)
-            events.append(Event(process_id, stamp, COMPONENT, action))
+            events.append(Event(process_id, stamp, COMPONENT, action,
+                                format_timestamp(stamp)))
             step += 1
     return EventLog(tuple(events))
 

@@ -210,11 +210,21 @@ class FunctionBlock:
             raise ValueError("duplicate EC state names")
         if self.initial_state not in by_name:
             raise ValueError(f"initial state {self.initial_state!r} missing")
+        # Every state sets each latch once, in sorted order, so valuations
+        # line up slot by slot.  build_plant_fb shares one valuation tuple
+        # among many states, so each distinct tuple is checked once.
+        latches = sorted({var for var, _ in by_name[self.initial_state].valuation})
+        checked: set[int] = set()
         for state in self.states:
             if not NAME_RE.match(state.name):
                 raise ValueError(f"invalid state name {state.name!r}")
             if state.emission is not None and state.emission not in self.event_outputs:
                 raise ValueError(f"state {state.name!r} emits unknown event")
+            if id(state.valuation) not in checked:
+                if [var for var, _ in state.valuation] != latches:
+                    raise ValueError(f"state {state.name!r} does not set each of the latches "
+                                     f"{' '.join(latches) or '(none)'} once, in order")
+                checked.add(id(state.valuation))
         # Transitions are sorted, so each target tuple is sorted too.
         targets: dict[tuple[str, str | None], list[str]] = {}
         for src, guard, dst in transitions:
@@ -226,8 +236,7 @@ class FunctionBlock:
                 if by_name[dst].emission is not None:
                     raise ValueError(f"input-guarded transition targets emitting state {dst!r}")
             targets.setdefault((src, guard), []).append(dst)
-        object.__setattr__(self, "sensor_vars", tuple(sorted(
-            {var for state in self.states for var, _ in state.valuation})))
+        object.__setattr__(self, "sensor_vars", tuple(latches))
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_targets", {key: tuple(dsts) for key, dsts in targets.items()})
 

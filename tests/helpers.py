@@ -9,17 +9,21 @@ reachability that tests every transition at every marking, and CTL labeling
 by round-based ``pre()`` fixpoints with the same ``stats['rounds']`` hook.
 Two more keep the separate report and SMV formula printers that one renderer
 replaced, to pin its bytes, and one the plant transformation's dict-based
-latch propagation, to pin the tuple-slot version.
+latch propagation, to pin the tuple-slot version.  The event-log references
+format every timestamp with strftime and quote every name per event, to pin
+the stored stamp texts and the exporters that join them.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import Mapping
+from xml.sax.saxutils import quoteattr
 
-from plantmine.eventlog import Trace, TraceSet
+from plantmine.eventlog import CSV_HEADER, EventLog, Trace, TraceSet
 from plantmine.errors import BoundExceeded, InconsistentLabeling, UnknownAtom
 from plantmine.petri import (Marking, PetriNet, ReachabilityGraph,
                              enabled_transitions, fire, reachability_graph)
@@ -826,3 +830,90 @@ def independent_cylinders(m: int) -> tuple[FunctionBlock, ControllerFSM]:
     controller = ControllerFSM(states=("C0",), initial="C0", inputs=tuple(sensors),
                                outputs=tuple(commands), transitions=tuple(moves))
     return fb, controller
+
+
+# ---------------------------------------------------------------------------
+# Event-log references: timestamps formatted per event with strftime, names
+# quoted per event (the exporters before stamp texts were stored)
+
+def parse_timestamp_reference(text: str) -> datetime:
+    """Parse an ISO-8601 instant and normalize it to UTC.
+
+    A trailing ``Z`` is accepted as the UTC designator; naive timestamps are
+    rejected because they do not denote an unambiguous instant.
+    """
+    raw = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
+    stamp = datetime.fromisoformat(raw)
+    if stamp.tzinfo is None:
+        raise ValueError(f"timestamp {text!r} has no UTC offset")
+    return stamp.astimezone(timezone.utc)
+
+
+def format_timestamp_reference(stamp: datetime) -> str:
+    """Render a UTC instant in the log's ISO-8601 style (millisecond precision at most).
+
+    glibc's ``%Y`` does not pad years before 1000 to four digits.
+    """
+    stamp = stamp.astimezone(timezone.utc)
+    if stamp.microsecond:
+        return stamp.strftime("%Y-%m-%dT%H:%M:%S.") + f"{stamp.microsecond // 1000:03d}Z"
+    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def export_csv_reference(log: EventLog) -> str:
+    """Render an event log back to the CSV schema (LF endings, trailing newline)."""
+    lines = [",".join(CSV_HEADER)]
+    for event in log:
+        lines.append(",".join((event.process_id, format_timestamp_reference(event.timestamp),
+                               event.component, event.action)))
+    return "\n".join(lines) + "\n"
+
+
+def export_xes_reference(traces: TraceSet) -> str:
+    """Render a trace set as a minimal XES document, four list entries per event."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">']
+    for trace in traces.traces:
+        lines.append("  <trace>")
+        lines.append(f'    <string key="concept:name" value={quoteattr(trace.process_id)}/>')
+        for index, action in enumerate(trace.actions):
+            lines.append("    <event>")
+            lines.append(f'      <string key="concept:name" value={quoteattr(action)}/>')
+            if trace.timestamps is not None:
+                stamp = format_timestamp_reference(trace.timestamps[index])
+                lines.append(f'      <date key="time:timestamp" value={quoteattr(stamp)}/>')
+            lines.append("    </event>")
+        lines.append("  </trace>")
+    lines.append("</log>")
+    return "\n".join(lines) + "\n"
+
+
+def random_stamp(rng: random.Random, min_year: int = 1000) -> str:
+    """An ISO-8601 instant in one of the shapes ``parse_csv`` accepts.
+
+    Calendar, week and basic dates; ``T`` or space separators; minutes
+    with or without seconds; 0 to 6 fraction digits; ``Z``, ``z`` or a
+    numeric offset.
+    """
+    moment = datetime(rng.randint(min_year, 9998), 1, 1) + timedelta(
+        days=rng.randrange(365), seconds=rng.randrange(86400))
+    shape = rng.choice(("calendar", "calendar", "calendar", "week", "basic"))
+    if shape == "week":
+        year, week, weekday = moment.isocalendar()
+        date = f"{year:04d}-W{week:02d}-{weekday}"
+    elif shape == "basic":
+        date = f"{moment.year:04d}{moment.month:02d}{moment.day:02d}"
+    else:
+        date = f"{moment.year:04d}-{moment.month:02d}-{moment.day:02d}"
+    colon = "" if shape == "basic" else ":"
+    time = f"{moment.hour:02d}{colon}{moment.minute:02d}"
+    if rng.random() < 0.9:
+        time += f"{colon}{moment.second:02d}"
+        digits = rng.choice((0, 0, 0, 3, 3, 1, 2, 4, 5, 6))
+        if digits:
+            fraction = rng.choice(("0" * digits, "".join(rng.choice("0123456789")
+                                                         for _ in range(digits))))
+            time += "." + fraction
+    zone = rng.choice(("Z", "Z", "z", "+00:00",
+                       f"{rng.choice('+-')}{rng.randint(0, 14):02d}:{rng.choice((0, 30, 45)):02d}"))
+    return f"{date}{rng.choice('TT ')}{time}{zone}"

@@ -176,21 +176,22 @@ class TestStages:
     def test_unknown_subcommand_exits_two(self, tmp_path):
         assert run("frobnicate") == 2
 
-    @pytest.mark.parametrize("argv, actions", [
+    @pytest.mark.parametrize("argv, rows", [
         (["simulate", "--traces", "0"], None),
         (["simulate", "--cycles", "3..1"], None),
         (["reach", "--fixture", "--bound", "0"], None),
         (["reach", "--fixture", "--marking", "p.HOME_ON..EXT=-1"], None),
         (["reach", "--fixture", "--marking", "nosuch=1"], None),
-        (["mine"], ["source", "EXT"]),
+        (["mine"], ["1,2021-05-10T10:00:00Z,HC,source", "1,2021-05-10T10:00:01Z,HC,EXT"]),
+        (["mine"], ["1,0001-01-01T00:30:00+01:00,HC,EXT"]),
         (["pipeline", "--fixture", "--spec", "AG NOPE"], None),
     ], ids=["zero-traces", "empty-cycles", "zero-bound", "negative-marking",
-            "unknown-place", "action-named-source", "unknown-atom"])
-    def test_invalid_value_exits_two(self, tmp_path, capsys, argv, actions):
-        if actions is not None:
+            "unknown-place", "action-named-source", "timestamp-overflow", "unknown-atom"])
+    def test_invalid_value_exits_two(self, tmp_path, capsys, argv, rows):
+        if rows is not None:
             log = tmp_path / "log.csv"
-            log.write_text("processId,timestamp,component,action\n" + "".join(
-                f"1,2021-05-10T10:00:{i:02d}Z,HC,{a}\n" for i, a in enumerate(actions)))
+            log.write_text("processId,timestamp,component,action\n"
+                           + "".join(f"{row}\n" for row in rows))
             argv = argv + ["--log", str(log)]
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,12 +1,18 @@
 import random
-from datetime import timezone
+from collections import Counter
+from datetime import datetime, timezone
 
 import pytest
 from xml.etree import ElementTree
 
+from helpers import (export_csv_reference, export_xes_reference,
+                     format_timestamp_reference, parse_timestamp_reference,
+                     random_stamp)
+from plantmine import eventlog
 from plantmine.errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
-from plantmine.eventlog import (export_csv, export_xes, filter_component,
-                                group_traces, parse_csv, parse_timestamp)
+from plantmine.eventlog import (EventLog, TraceSet, export_csv, export_xes,
+                                filter_component, format_timestamp, group_traces,
+                                parse_csv, parse_timestamp)
 
 HEADER = "processId,timestamp,component,action"
 
@@ -61,6 +67,26 @@ class TestParseCsv:
         with pytest.raises(MalformedRow):
             parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT RET"))
 
+    @pytest.mark.parametrize("row, reason", [
+        ("1,2021-05-10T10:01:00Z,H-C,EXT", "invalid component 'H-C'"),
+        ("1,2021-05-10T10:01:00Z,HC,RE T", "invalid action 'RE T'"),
+    ])
+    def test_invalid_name_first_seen_late_reports_its_line(self, row, reason):
+        # names are checked once, on the first row that carries them
+        rows = [f"{i % 3},2021-05-10T10:00:{i:02d}Z,HC,{('EXT', 'RET')[i % 2]}"
+                for i in range(40)]
+        with pytest.raises(MalformedRow) as exc:
+            parse_csv(make_csv(*rows, row, "1,2021-05-10T10:01:01Z,HC,EXT"))
+        assert exc.value.line_no == 42
+        assert reason in str(exc.value)
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00",
+                                       "9999-12-31T23:30:00-01:00"])
+    def test_instant_outside_utc_range_is_bad_timestamp(self, stamp):
+        with pytest.raises(BadTimestamp) as exc:
+            parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT", f"1,{stamp},HC,RET"))
+        assert exc.value.line_no == 3
+
 
 class TestTimestamps:
     def test_offset_normalizes_to_utc(self):
@@ -70,6 +96,82 @@ class TestTimestamps:
     def test_naive_raises(self):
         with pytest.raises(ValueError):
             parse_timestamp("2021-05-10T10:00:01")
+
+    def test_format_converts_to_utc(self):
+        stamp = datetime.fromisoformat("2021-05-10T12:00:01.5+02:00")
+        assert format_timestamp(stamp) == "2021-05-10T10:00:01.500Z"
+        assert format_timestamp_reference(stamp) == "2021-05-10T10:00:01.500Z"
+
+
+STAMP_CASES = [
+    "2021-05-10T10:00:01Z", "2021-05-10T10:00:01.120Z", "2021-05-10T12:00:01+02:00",
+    "2021-05-10T01:00:01+02:00", "2021-05-10T10:00:01-05:30", "2021-12-31T23:30:00-01:00",
+    "2021-05-10T10:00:01+00:00", "2021-05-10T10:00:01z", "2021-05-10T10:00:01.000Z",
+    "2021-05-10T10:00:01.0001Z", "2021-05-10T10:00:01.5Z", "2021-05-10T10:00:01.123456Z",
+    "2021-05-10T10:00:01.999999Z", "2021-05-10 10:00:01Z",
+    "2021-W19-1T10:00:00Z", "20210510T100000Z", "2021-05-10T10:00Z", "2021-05-10T10:00+01:00",
+    "2021-05-10T24:00:00Z", "2021-05-10T10:00:6xZ", "2021-05-10T10:00:01.12xZ",
+    "2021-13-10T10:00:00Z", "2021-05-10T10:00:01", "2021-05-10T10:00:01.000", "not-a-time", "",
+    "0999-05-10T10:00:00Z", "0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00",
+]
+
+
+def stored_stamp(text):
+    """The stamp text and instant ``parse_csv`` keeps for a one-row log, or None if rejected."""
+    try:
+        event = parse_csv(make_csv(f"1,{text},HC,EXT")).events[0]
+    except BadTimestamp as exc:
+        assert exc.line_no == 2
+        return None
+    return event.timestamp_text, event.timestamp
+
+
+def compare_with_reference(text):
+    """Check one stamp against the strftime reference; returns what was compared."""
+    try:
+        instant = parse_timestamp_reference(text)
+        expected = format_timestamp_reference(instant)
+    except (ValueError, OverflowError):
+        assert stored_stamp(text) is None, text
+        return "rejected"
+    stored, stamp = stored_stamp(text)
+    assert stamp == instant == parse_timestamp(text), text
+    assert stamp.tzinfo is timezone.utc
+    try:
+        parse_timestamp_reference(expected)
+    except ValueError:
+        # the reference prints years before 1000 without zero padding
+        assert stored == f"{instant.year:04d}{expected[len(str(instant.year)):]}", text
+        return "padded"
+    assert stored == expected == format_timestamp(instant), text
+    return "compared"
+
+
+class TestStampText:
+    """The stamp text stored at parse equals the strftime reference's output."""
+
+    @pytest.mark.parametrize("text", STAMP_CASES)
+    def test_listed_shapes(self, text):
+        compare_with_reference(text)
+
+    def test_listed_shapes_cover_each_outcome(self):
+        outcomes = Counter(compare_with_reference(text) for text in STAMP_CASES)
+        assert outcomes == {"compared": 18, "rejected": 10, "padded": 1}
+
+    def test_random_stamps(self):
+        rng = random.Random(8)
+        texts = [random_stamp(rng, min_year=1) for _ in range(3000)]
+        outcomes = Counter(compare_with_reference(text) for text in texts)
+        assert outcomes["compared"] > 2500 and outcomes["padded"] > 0
+        # both canonical shapes occur among the inputs
+        kept = Counter(len(text) for text in texts
+                       if (stored := stored_stamp(text)) and stored[0] == text)
+        assert kept[20] > 50 and kept[24] > 5
+
+    def test_canonical_logs_export_unchanged(self):
+        for text in ("2021-05-10T10:00:01Z", "2021-05-10T10:00:01.120Z", "0999-05-10T10:00:00Z"):
+            log_text = make_csv(f"1,{text},HC,EXT")
+            assert export_csv(parse_csv(log_text)) == log_text
 
 
 class TestFilterComponent:
@@ -118,6 +220,14 @@ class TestGroupTraces:
     def test_empty_log_raises(self):
         with pytest.raises(EmptyLog):
             group_traces(parse_csv(HEADER + "\n"))
+
+    def test_alphabet_is_computed_once(self):
+        traces = group_traces(parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT",
+                                                 "2,2021-05-10T10:00:02Z,HC,RET")))
+        assert traces.alphabet is traces.alphabet
+        assert traces.alphabet == {"EXT", "RET"}
+        assert "alphabet" not in repr(traces)
+        assert TraceSet(traces.traces) == traces
 
     def test_partition_property_random_logs(self):
         rng = random.Random(7)
@@ -170,3 +280,93 @@ class TestExportXes:
 class TestExportCsv:
     def test_round_trip(self, fixture_log):
         assert parse_csv(export_csv(fixture_log)) == fixture_log
+
+    def test_round_trip_pads_years_before_1000(self):
+        text = make_csv("1,0999-05-10T10:00:00Z,HC,EXT",
+                        "1,0001-01-01T00:00:00.5z,HC,RET",
+                        "2,1000-01-01T00:30:00.250+01:00,HC,EXT")
+        first = parse_csv(text)
+        exported = export_csv(first)
+        assert exported == make_csv("1,0999-05-10T10:00:00Z,HC,EXT",
+                                    "1,0001-01-01T00:00:00.500Z,HC,RET",
+                                    "2,0999-12-31T23:30:00.250Z,HC,EXT")
+        assert parse_csv(exported) == first
+
+
+def random_log_text(rng, rows):
+    """A log of mixed stamp shapes and names, with process ids that need XML quoting."""
+    pids = ("1", "2", "17", "p<1>", "a&b", 'q"\'', "x y")
+    actions = ("EXT", "RET", "HOME_ON", "END_OFF", "a_1")
+    return make_csv(*(f"{rng.choice(pids)},{random_stamp(rng, min_year=1001)},"
+                      f"{rng.choice(('HC', 'VC'))},{rng.choice(actions)}"
+                      for _ in range(rows)))
+
+
+class TestExportBytes:
+    """The exporters write the same bytes as the strftime references."""
+
+    def test_random_mixed_logs(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            log = parse_csv(random_log_text(rng, rng.randint(1, 60)))
+            assert export_csv(log) == export_csv_reference(log)
+            filtered = filter_component(log, "HC")
+            assert export_csv(filtered) == export_csv_reference(filtered)
+            if len(filtered):
+                traces = group_traces(filtered)
+                assert export_xes(traces) == export_xes_reference(traces)
+
+    def test_fixture_log(self, fixture_log, fixture_traces):
+        assert export_csv(fixture_log) == export_csv_reference(fixture_log)
+        assert export_xes(fixture_traces) == export_xes_reference(fixture_traces)
+
+
+class Unformattable(datetime):
+    """A datetime that fails the test when anything formats or converts it."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a datetime was formatted")
+
+    strftime = isoformat = astimezone = __format__ = __str__ = _refuse
+
+    @classmethod
+    def of(cls, stamp):
+        return cls(stamp.year, stamp.month, stamp.day, stamp.hour, stamp.minute,
+                   stamp.second, stamp.microsecond, tzinfo=stamp.tzinfo)
+
+
+class TestWorkCounters:
+    """Per-event work counted through the module globals on a canonical log."""
+
+    def test_names_stamps_and_quoting(self, monkeypatch, fixture_log):
+        text = export_csv(fixture_log)
+        calls = Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        class CountingNameRe:
+            match = staticmethod(counting("NAME_RE", eventlog.NAME_RE.match))
+
+        monkeypatch.setattr(eventlog, "NAME_RE", CountingNameRe)
+        monkeypatch.setattr(eventlog, "format_timestamp",
+                            counting("format_timestamp", eventlog.format_timestamp))
+        monkeypatch.setattr(eventlog, "quoteattr", counting("quoteattr", eventlog.quoteattr))
+
+        log = parse_csv(text)
+        names = {e.component for e in log} | {e.action for e in log}
+        assert calls["NAME_RE"] == len(names) == 7
+        assert calls["format_timestamp"] == 0  # canonical stamps are kept as read
+
+        # every timestamp refuses to be formatted while exporting
+        spied = EventLog(tuple(e._replace(timestamp=Unformattable.of(e.timestamp))
+                               for e in log))
+        assert export_csv(spied) == text
+        traces = group_traces(spied)
+        assert export_xes(traces) == export_xes_reference(group_traces(log))
+        assert calls["format_timestamp"] == 0
+        assert calls["quoteattr"] <= len(traces.alphabet) + len(traces)
+        assert calls["NAME_RE"] == 7

@@ -25,6 +25,12 @@ def traced_metrics(workload):
     return metrics
 
 
+def test_traced_log_ingest_run():
+    metrics = traced_metrics("log-ingest")
+    # non-zero only while eventlog.parse_csv is on the traced path
+    assert metrics["eventlog.parse_mb_per_s"]["value"] > 0
+
+
 def test_traced_alpha_choice_run():
     metrics = traced_metrics("alpha-choice")
     # non-zero only while discovery.causal_pairs is on the traced path

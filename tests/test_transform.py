@@ -4,7 +4,7 @@ import pytest
 
 from plantmine.errors import InconsistentLabeling, ParseError, UnmappedAction
 from plantmine.fixture import INITIAL_VALUATION, fixture_action_map
-from plantmine.transform import (FSM, ActionKind, build_plant_fb,
+from plantmine.transform import (FSM, ActionKind, EccState, FunctionBlock, build_plant_fb,
                                  classify_alphabet, export_fb, export_fb_dot,
                                  fsm_from_graph,
                                  parse_action_map, parse_fb)
@@ -259,6 +259,28 @@ class TestFbDocument:
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             parse_fb("plantfb v2\nname X\n")
+
+    @pytest.mark.parametrize("latches", [
+        ("A=true A=false", "B=true"),    # A twice in Q0, B only in Q1
+        ("A=true", "B=true"),            # disjoint latch sets
+        ("A=true B=false", "A=false"),   # B missing in Q1
+        ("A=true B=false", "A=false B=true B=false"),
+    ], ids=["doubled", "disjoint", "missing", "doubled-later"])
+    def test_states_must_set_the_same_latches(self, latches):
+        text = ("plantfb v1\nname P\ninputs\noutputs\ninitial Q0\n"
+                f"state Q0 emit=- {latches[0]}\nstate Q1 emit=- {latches[1]}\n")
+        with pytest.raises(ParseError, match="latches"):
+            parse_fb(text)
+
+    def test_valuations_follow_sensor_vars_order(self):
+        fb = parse_fb("plantfb v1\nname P\ninputs\noutputs\ninitial Q0\n"
+                      "state Q0 emit=- B=false A=true\nstate Q1 emit=- A=false B=true\n")
+        assert fb.sensor_vars == ("A", "B")
+        assert fb.state("Q0").valuation == (("A", True), ("B", False))
+        with pytest.raises(ValueError, match="latches"):
+            FunctionBlock(name="P", event_inputs=(), event_outputs=(),
+                          states=(EccState("Q0", None, (("B", False), ("A", True))),),
+                          initial_state="Q0", transitions=())
 
     def test_dot_variant_renders(self, fixture_fb):
         dot = export_fb_dot(fixture_fb)
