@@ -44,8 +44,8 @@ class UsageError(PlantMineError):
     pass
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _atomic_write(path: Path, text: str) -> Path:
@@ -61,16 +61,32 @@ class _Stages:
 
     A stage's elapsed time runs from the previous checkpoint, so the stages
     partition the run.  ``done`` returns true when ``name`` is the stage the
-    subcommand stops at, after printing the stage lines.
+    subcommand stops at, after printing the stage lines.  Its inputs went
+    through ``read`` or ``write``, which digest each file's bytes once.
     """
 
     def __init__(self, stop: str | None) -> None:
         self.stop = stop
         self.lines = ["stages:"]
         self.clock = time.perf_counter()
+        self.digests: dict[Path, str] = {}
+
+    def read(self, path: Path) -> str:
+        """The UTF-8 text of an input file, without a leading byte-order mark."""
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc}") from None
+        self.digests[path] = _sha256(data)
+        return data.decode("utf-8-sig")
+
+    def write(self, path: Path, text: str) -> Path:
+        """Write an artifact that a later stage takes as input."""
+        self.digests[path] = _sha256(text.encode("utf-8"))
+        return _atomic_write(path, text)
 
     def done(self, name: str, inputs: list[Path]) -> bool:
-        digests = ", ".join(f"{p.name} sha256={_sha256(p)}" for p in inputs) or "-"
+        digests = ", ".join(f"{p.name} sha256={self.digests[p]}" for p in inputs) or "-"
         now = time.perf_counter()
         self.lines.append(f"  {name}: inputs: {digests}; elapsed {now - self.clock:.3f}s")
         self.clock = now
@@ -102,13 +118,6 @@ def _parse_marking(specs: list[str]) -> dict[str, int]:
             except ValueError:
                 raise UsageError(f"--marking count must be an integer: {pair!r}") from None
     return counts
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,13 +198,13 @@ def _execute(args: argparse.Namespace) -> int:
     # --- log acquisition ------------------------------------------------
     if getattr(args, "log", None) is not None:
         log_path = args.log
-        log = eventlog.parse_csv(_read_text(log_path))
+        log = eventlog.parse_csv(stages.read(log_path))
         stages.done("parse", [log_path])
     else:
         if args.command != "simulate" and not args.fixture:
             raise UsageError("either --log or --fixture is required")
         log = fixture.simulate_two_cylinder(_sim_config(args), args.seed)
-        log_path = _atomic_write(artifact("log"), eventlog.export_csv(log))
+        log_path = stages.write(artifact("log"), eventlog.export_csv(log))
         if stages.done("simulate", []):
             return 0
 
@@ -205,7 +214,7 @@ def _execute(args: argparse.Namespace) -> int:
     traces = eventlog.group_traces(filtered)
     _atomic_write(artifact("xes"), eventlog.export_xes(traces))
     net = discovery.alpha_discover(traces)
-    pnml_path = _atomic_write(artifact("pnml"), petri.export_pnml(net))
+    pnml_path = stages.write(artifact("pnml"), petri.export_pnml(net))
     log_fitness = discovery.fitness(net, traces)
     print(f"mined net: {len(net.places)} places, {len(net.transitions)} transitions, "
           f"{len(net.arcs)} arcs; replay fitness {log_fitness:.3f}")
@@ -232,7 +241,7 @@ def _execute(args: argparse.Namespace) -> int:
     if args.actionmap:
         # Custom maps start all latches false; the fixture map carries the
         # cylinder's rest position instead.
-        amap = transform.parse_action_map(_read_text(args.actionmap))
+        amap = transform.parse_action_map(stages.read(args.actionmap))
         initial_valuation = {var: False for var in amap.sensor_vars}
     elif args.fixture:
         amap = fixture.fixture_action_map()
@@ -242,7 +251,7 @@ def _execute(args: argparse.Namespace) -> int:
     fsm = transform.fsm_from_graph(graph)
     fb = transform.build_plant_fb(fsm, amap, initial_valuation,
                                   name=f"{args.component}_PLANT")
-    fb_path = _atomic_write(artifact("fb"), transform.export_fb(fb))
+    fb_path = stages.write(artifact("fb"), transform.export_fb(fb))
     print(f"plant block: {len(fb.states)} states, {len(fb.transitions)} transitions, "
           f"inputs {list(fb.event_inputs)}, outputs {list(fb.event_outputs)}")
     if stages.done("transform", [pnml_path] + ([args.actionmap] if args.actionmap else [])):
@@ -250,7 +259,7 @@ def _execute(args: argparse.Namespace) -> int:
 
     # --- emit-smv ---------------------------------------------------------
     if args.controller:
-        controller = verify.parse_controller(_read_text(args.controller))
+        controller = verify.parse_controller(stages.read(args.controller))
     elif args.fixture:
         controller = fixture.fixture_controller()
     else:

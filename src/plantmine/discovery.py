@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EmptyLog, EmptyTrace, NoBoundary, UnknownAction
-from .eventlog import Trace, TraceSet, collapse_duplicate_traces
+from .eventlog import Trace, TraceSet
 from .petri import Marking, PetriNet
 
 SOURCE_PLACE = "source"
@@ -52,20 +52,18 @@ class FootprintMatrix:
 
 
 def footprint(traces: TraceSet) -> FootprintMatrix:
-    """Compute the footprint matrix of a trace set."""
+    """Compute the footprint matrix of a trace set from its variants."""
     if not traces.traces:
         raise EmptyLog()
-    succession = set()
-    for trace in traces.traces:
-        for a, b in zip(trace.actions, trace.actions[1:]):
-            succession.add((a, b))
-    return FootprintMatrix(tuple(sorted(traces.alphabet)), frozenset(succession))
+    succession = frozenset((a, b) for actions in traces.variants
+                           for a, b in zip(actions, actions[1:]))
+    return FootprintMatrix(tuple(sorted(traces.alphabet)), succession)
 
 
-def causal_pairs(fp: FootprintMatrix) -> set[tuple[frozenset[str], frozenset[str]]]:
-    """The singleton causal pairs ({a}, {b}): a -> b, and neither action loops on itself."""
+def causal_pairs(fp: FootprintMatrix) -> set[tuple[str, str]]:
+    """The action pairs (a, b) with a -> b where neither action loops on itself."""
     looping = {a for a, b in fp.direct_succession if a == b}
-    return {(frozenset((a,)), frozenset((b,))) for a, b in fp.direct_succession
+    return {(a, b) for a, b in fp.direct_succession
             if (b, a) not in fp.direct_succession and not {a, b} & looping}
 
 
@@ -73,8 +71,8 @@ def maximal_pairs(fp: FootprintMatrix) -> set[tuple[frozenset[str], frozenset[st
     """The componentwise-maximal causal pairs; each one becomes a place.
 
     They are the maximal cliques with both sides non-empty of one graph: the
-    vertices (A, a) and (B, b) of each singleton causal pair ({a}, {b}) (an
-    action in none sits in no pair), an edge between same-side vertices whose
+    vertices (A, a) and (B, b) of each causal pair (a, b) (an action in none
+    sits in no pair), an edge between same-side vertices whose
     actions are unrelated, and one between (A, a) and (B, b) when a -> b.
     Adding a vertex to a pair grows one of its sides, so a clique is maximal
     exactly when its pair is; ``a -> a`` is impossible, so no action sits on
@@ -85,7 +83,7 @@ def maximal_pairs(fp: FootprintMatrix) -> set[tuple[frozenset[str], frozenset[st
     can still have exponentially many of them.
     """
     n, index = len(fp.alphabet), {a: i for i, a in enumerate(fp.alphabet)}
-    edges = [(index[min(a)], index[min(b)]) for a, b in causal_pairs(fp)]
+    edges = [(index[a], index[b]) for a, b in causal_pairs(fp)]
     sides = sum({1 << a for a, _ in edges}), sum({1 << b + n for _, b in edges})
     unrelated = [(1 << n) - 1 & ~(1 << i) for i in range(n)]
     for x, y in fp.direct_succession:
@@ -136,24 +134,21 @@ def place_id(a_set: frozenset[str], b_set: frozenset[str]) -> str:
 def alpha_discover(traces: TraceSet) -> PetriNet:
     """Mine a workflow net from a trace set with the alpha algorithm.
 
-    Duplicate traces are collapsed first; the relations are set-level, so the
+    Only the log's variants are read; the relations are set-level, so the
     mined net is independent of trace order and multiplicity.  The net gets a
     designated ``source`` place feeding every trace-initial action and a
     ``sink`` place fed by every trace-final action.
     """
     if not traces.traces:
         raise EmptyLog()
-    for trace in traces.traces:
-        if not trace.actions:
-            raise EmptyTrace(trace.process_id)
+    if () in traces.variants:
+        raise EmptyTrace(traces.variants[()][0].process_id)
     if {SOURCE_PLACE, SINK_PLACE} & traces.alphabet:
         raise ValueError("actions named 'source'/'sink' clash with boundary places")
 
-    distinct = collapse_duplicate_traces(traces)
-    fp = footprint(traces)
-    first = {actions[0] for actions in distinct}
-    last = {actions[-1] for actions in distinct}
-    pairs = maximal_pairs(fp)
+    first = {actions[0] for actions in traces.variants}
+    last = {actions[-1] for actions in traces.variants}
+    pairs = maximal_pairs(footprint(traces))
 
     places = [SOURCE_PLACE, SINK_PLACE]
     arcs: set[tuple[str, str]] = set()
@@ -222,10 +217,7 @@ def fitness(net: PetriNet, traces: TraceSet) -> float:
     """Fraction of traces that replay without missing tokens and end cleanly."""
     if not traces.traces:
         raise EmptyLog()
-    # one replay per distinct action sequence, counted once per trace
-    variants: dict[tuple[str, ...], list] = {}
-    for trace in traces.traces:
-        variants.setdefault(trace.actions, [trace, 0])[1] += 1
-    fitting = sum(count for trace, count in variants.values()
-                  if replay_trace(net, trace).fits)
+    # one replay per variant, through its first trace, counted once per trace
+    fitting = sum(len(group) for group in traces.variants.values()
+                  if replay_trace(net, group[0]).fits)
     return fitting / len(traces.traces)

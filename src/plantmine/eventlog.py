@@ -114,11 +114,15 @@ class TraceSet:
     """A grouped log: one trace per process id."""
 
     traces: tuple[Trace, ...] = ()
+    # each distinct action sequence and its traces, in order of first occurrence
+    variants: dict[tuple[str, ...], list[Trace]] = field(init=False, repr=False, compare=False)
     alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet",
-                           frozenset(a for t in self.traces for a in t.actions))
+        object.__setattr__(self, "variants", {})
+        for trace in self.traces:
+            self.variants.setdefault(trace.actions, []).append(trace)
+        object.__setattr__(self, "alphabet", frozenset(a for seq in self.variants for a in seq))
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -244,11 +248,3 @@ def export_xes(traces: TraceSet) -> str:
         parts.append(f"{head}{body}  </trace>\n")
     parts.append("</log>\n")
     return "".join(parts)
-
-
-def collapse_duplicate_traces(traces: TraceSet) -> tuple[tuple[str, ...], ...]:
-    """Distinct action sequences of a trace set, in order of first occurrence."""
-    seen: dict[tuple[str, ...], None] = {}
-    for trace in traces.traces:
-        seen.setdefault(trace.actions, None)
-    return tuple(seen)

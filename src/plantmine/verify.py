@@ -662,8 +662,10 @@ def satisfying_states(k: KripkeStructure, formula: Formula,
     return sat(formula)
 
 
-def _shortest_violation(k: KripkeStructure, good: frozenset) -> tuple[PathStep, ...]:
-    """Breadth-first path from the initial state to the nearest state outside ``good``."""
+def _shortest_violation(k: KripkeStructure, good: frozenset) -> tuple[PathStep, ...] | None:
+    """Breadth-first path from the initial state to the nearest state outside ``good``, if any."""
+    if len(good) == len(k.states):  # no state is outside: nothing to search
+        return None
     parents: dict = {k.initial: None}
     queue: deque = deque([k.initial])
     found = None
@@ -679,7 +681,8 @@ def _shortest_violation(k: KripkeStructure, good: frozenset) -> tuple[PathStep, 
                 found = target
                 break
             queue.append(target)
-    assert found is not None, "no violating state reachable"
+    if found is None:
+        return None
     steps: list[PathStep] = []
     cursor = found
     while cursor is not None:
@@ -689,17 +692,15 @@ def _shortest_violation(k: KripkeStructure, good: frozenset) -> tuple[PathStep, 
     return tuple(reversed(steps))
 
 
-def check_ctl(k: KripkeStructure, formula: Formula,
-              stats: dict | None = None) -> Verdict:
+def check_ctl(k: KripkeStructure, formula: Formula) -> Verdict:
     """Check a CTL formula on a Kripke structure.
 
-    The verdict holds iff the initial state satisfies the formula.  For a
-    failing top-level AG, a shortest path from the initial state to a
-    violating state is returned as the counterexample; other failing shapes
-    report no witness.
+    The verdict holds iff the initial state satisfies the formula.  A
+    top-level AG holds iff no state outside its operand's states is
+    reachable, and fails with a shortest path to one as the counterexample;
+    other failing shapes report no witness.
     """
-    holds = k.initial in satisfying_states(k, formula, stats)
-    if holds or not isinstance(formula, AG):
-        return Verdict(holds)
-    good = satisfying_states(k, formula.operand)
-    return Verdict(False, _shortest_violation(k, good))
+    if isinstance(formula, AG):
+        path = _shortest_violation(k, satisfying_states(k, formula.operand))
+        return Verdict(path is None, path)
+    return Verdict(k.initial in satisfying_states(k, formula))

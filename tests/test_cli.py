@@ -1,9 +1,12 @@
+import hashlib
 import re
 import sys
 
 import pytest
 
+from plantmine import cli
 from plantmine.cli import main
+from plantmine.fixture import FIXTURE_CONTROLLER_TEXT
 
 ARTIFACT_NAMES = ["log.csv", "filtered.csv", "log.xes", "net.pnml",
                   "reachability.dot", "plant.fb", "closed_loop.smv",
@@ -12,6 +15,18 @@ ARTIFACT_NAMES = ["log.csv", "filtered.csv", "log.xes", "net.pnml",
 
 def run(*argv):
     return main(list(argv))
+
+
+def write_inputs(directory):
+    """A simulated log, an action map and the fixture controller as files."""
+    run("simulate", "--seed", "7", "--traces", "5", "--out", str(directory))
+    amap = directory / "map.txt"
+    amap.write_text("EXT: control\nRET: control\n"
+                    "HOME_ON: sensor HOME=true\nHOME_OFF: sensor HOME=false\n"
+                    "END_ON: sensor END=true\nEND_OFF: sensor END=false\n")
+    controller = directory / "ctl.txt"
+    controller.write_text(FIXTURE_CONTROLLER_TEXT)
+    return directory / "log.csv", amap, controller
 
 
 class TestPipeline:
@@ -155,6 +170,50 @@ class TestStages:
         # first full cycle; the safety property still holds
         assert code == 0
         assert "AG !(HOME & END): HOLDS" in (tmp_path / "report.txt").read_text()
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        paths = write_inputs(tmp_path)
+        for path in paths:
+            (tmp_path / f"bom-{path.name}").write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        runs = {}
+        for tag, (log, amap, controller) in (("plain", paths), ("bom", [
+                tmp_path / f"bom-{path.name}" for path in paths])):
+            out = tmp_path / tag
+            code = run("pipeline", "--log", str(log), "--marking", "p.HOME_ON..EXT=1",
+                       "--actionmap", str(amap), "--controller", str(controller),
+                       "--out", str(out))
+            assert code == 0, tag
+            runs[tag] = out
+        for name in ("filtered.csv", "log.xes", "net.pnml", "plant.fb", "closed_loop.smv"):
+            assert (runs["bom"] / name).read_bytes() == (runs["plain"] / name).read_bytes(), name
+        report = (runs["bom"] / "report.txt").read_text()
+        for path in paths:
+            digest = hashlib.sha256((tmp_path / f"bom-{path.name}").read_bytes()).hexdigest()
+            assert f"bom-{path.name} sha256={digest}" in report
+
+    def test_each_input_is_digested_once(self, tmp_path, monkeypatch, capsys):
+        log, amap, controller = write_inputs(tmp_path)
+        out = tmp_path / "out"
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return hashlib.sha256(data).hexdigest()
+
+        # counted through the module global that the stage checkpoint calls
+        monkeypatch.setattr(cli, "_sha256", counting)
+        capsys.readouterr()
+        assert run("pipeline", "--log", str(log), "--marking", "p.HOME_ON..EXT=1",
+                   "--actionmap", str(amap), "--controller", str(controller),
+                   "--out", str(out)) == 0
+        files = [log, out / "net.pnml", amap, out / "plant.fb", controller]
+        assert sorted(calls) == sorted(path.read_bytes() for path in files)
+        listed = re.findall(r"(\S+) sha256=(\w+)", capsys.readouterr().out)
+        assert [name for name, _ in listed] == [
+            "log.csv", "log.csv", "net.pnml", "net.pnml", "map.txt",
+            "plant.fb", "ctl.txt", "plant.fb", "ctl.txt"]
+        by_name = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+        assert all(digest == by_name[name] for name, digest in listed)
 
     def test_bound_flag(self, tmp_path):
         code = run("reach", "--fixture", "--traces", "5", "--bound", "2",

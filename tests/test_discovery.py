@@ -50,6 +50,19 @@ class TestFootprint:
             for (a, b), rel in expected.items():
                 assert fp.relation(a, b).value == rel
 
+    def test_repeated_shuffled_traces_against_oracle(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            rows = [tuple(rng.choice("abcde") for _ in range(rng.randint(1, 8)))
+                    for _ in range(rng.randint(1, 5))]
+            rows = [rng.choice(rows) for _ in range(rng.randint(len(rows), 4 * len(rows)))]
+            rng.shuffle(rows)
+            traces = traceset(*rows)
+            succession, _ = footprint_oracle(traces)
+            fp = footprint(traces)
+            assert fp.direct_succession == succession
+            assert fp.alphabet == tuple(sorted({a for row in rows for a in row}))
+
 
 class TestAlphaDiscover:
     def test_two_action_chain(self):
@@ -74,6 +87,13 @@ class TestAlphaDiscover:
     def test_empty_trace_raises(self):
         with pytest.raises(EmptyTrace):
             alpha_discover(TraceSet((Trace("1", ()),)))
+
+    def test_empty_trace_names_the_first_empty_trace(self):
+        traces = TraceSet((Trace("p1", ("a", "b")), Trace("p2", ()),
+                           Trace("p3", ("a",)), Trace("p4", ())))
+        with pytest.raises(EmptyTrace) as exc:
+            alpha_discover(traces)
+        assert exc.value.process_id == "p2"
 
     def test_empty_log_raises(self):
         with pytest.raises(EmptyLog):

@@ -229,6 +229,25 @@ class TestGroupTraces:
         assert "alphabet" not in repr(traces)
         assert TraceSet(traces.traces) == traces
 
+    def test_variants_keep_first_occurrence_order_and_traces(self):
+        # first-occurrence order is not the sorted order here
+        traces = group_traces(parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,RET",
+                                                 "2,2021-05-10T10:00:02Z,HC,EXT",
+                                                 "2,2021-05-10T10:00:03Z,HC,RET",
+                                                 "3,2021-05-10T10:00:04Z,HC,EXT",
+                                                 "3,2021-05-10T10:00:05Z,HC,RET",
+                                                 "4,2021-05-10T10:00:06Z,HC,EXT",
+                                                 "4,2021-05-10T10:00:07Z,HC,RET")))
+        assert list(traces.variants) == [("RET",), ("EXT", "RET")]
+        assert [[t.process_id for t in group] for group in traces.variants.values()] == [
+            ["1"], ["2", "3", "4"]]
+        assert [len(group) for group in traces.variants.values()] == [1, 3]
+        assert all(t is traces.traces[int(t.process_id) - 1]
+                   for group in traces.variants.values() for t in group)
+        assert traces.variants is traces.variants
+        assert "variants" not in repr(traces)
+        assert TraceSet(traces.traces) == traces
+
     def test_partition_property_random_logs(self):
         rng = random.Random(7)
         for _ in range(30):

@@ -39,9 +39,12 @@ def test_traced_alpha_choice_run():
 
 def test_traced_deep_plant_run():
     metrics = traced_metrics("deep-plant")
-    # the 90-cylinder line: 904 productive fixpoint rounds over the three
-    # specs, and the failing AG's witness runs 896 steps down the line
-    assert metrics["verify.fixpoint_rounds"]["value"] == 904
+    # the 90-cylinder line: 7 productive fixpoint rounds over the three
+    # specs, as each top-level AG is decided by a search for a violating
+    # state, not a backward fixpoint; one labeling call per spec; and the
+    # failing AG's witness runs 896 steps down the line
+    assert metrics["verify.fixpoint_rounds"]["value"] == 7
+    assert metrics["verify.satisfying_states.calls"]["value"] == 3
     assert metrics["verify.counterexample_len"]["value"] == 896
 
 

@@ -224,6 +224,36 @@ class TestCheckCtl:
         assert len(verdict.counterexample) == 1
         assert verdict.counterexample[0].state == "s0"
 
+    def test_top_level_ag_against_oracle(self):
+        # the witness search decides a top-level AG; unreachable violating
+        # states must not fail it, and a failure comes with a shortest path
+        rng = random.Random(37)
+        outcomes = set()
+        for _ in range(300):
+            k = rng.choice((random_kripke, random_multi_kripke))(rng)
+            operand = random_formula(rng, ("p", "q", "r"), depth=2, constants=0.1)
+            verdict = check_ctl(k, AG(operand))
+            assert verdict.holds == (k.initial in ctl_oracle(k, AG(operand)))
+            good = ctl_oracle(k, operand)
+            outcomes.add((verdict.holds, len(good) == len(k.states)))
+            if verdict.holds:
+                assert verdict.counterexample is None
+                continue
+            path = verdict.counterexample
+            assert path[0] == (None, k.initial)
+            for before, after in zip(path, path[1:]):
+                assert (after.event, after.state) in k.successors[before.state]
+            assert [step.state in good for step in path] == [True] * (len(path) - 1) + [False]
+            distance, layer, seen = 0, {k.initial}, {k.initial}
+            while not layer - good:
+                layer = {t for s in layer for _, t in k.successors[s]} - seen
+                seen |= layer
+                distance += 1
+            assert len(path) == distance + 1
+        # holding with every state good, holding with an unreachable bad
+        # state, and failing all occur
+        assert outcomes == {(True, True), (True, False), (False, False)}
+
     def test_fixpoint_rounds_bounded(self):
         rng = random.Random(29)
         for _ in range(50):
