@@ -24,6 +24,7 @@ from .verify import ControllerFSM, parse_controller
 
 COMPONENT = "HC"
 CYCLE = ("EXT", "HOME_OFF", "END_ON", "RET", "END_OFF", "HOME_ON")
+REST_COMMAND = "EXT"  # issued from the rest position
 
 #: Supported log mutations; ``drop_sensor_off`` deletes the falling sensor
 #: edges, which makes the mined plant model violate the safety property.
@@ -104,14 +105,14 @@ C3 --END_OFF/--> C0
 """
 
 
-def rest_position_marking(net: PetriNet, control_action: str = "EXT") -> Marking:
+def rest_position_marking(net: PetriNet) -> Marking:
     """Initial marking for the stripped mined net: the place feeding the extend command.
 
     The mined plant cycle has no sourceless place, so the rest position is
     identified structurally as the unique place whose postset contains the
-    given control transition.
+    :data:`REST_COMMAND` transition.
     """
-    feeders = net.preset(control_action) if control_action in net.transitions else ()
+    feeders = net.preset(REST_COMMAND) if REST_COMMAND in net.transitions else ()
     if len(feeders) != 1:
         raise MarkingRequired()
     return Marking.of({feeders[0]: 1})

@@ -2,13 +2,16 @@
 
 Nets here are plain place/transition nets with unit arc weights, which is all
 the alpha miner ever produces.  Transition ids double as their action labels.
+
+:func:`explore` is the one bounded breadth-first walk: reachability, latch
+propagation, composition and the counterexample search supply only moves.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 from xml.sax.saxutils import quoteattr
 
 from .errors import BoundExceeded, MarkingRequired, NoBoundary, NotEnabled
@@ -149,6 +152,30 @@ class ReachabilityGraph:
     edges: tuple[tuple[Marking, str, Marking], ...]
 
 
+def explore(initial: Hashable, moves: Callable[[Hashable], Iterable[tuple[object, Hashable]]],
+            bound: int) -> Iterator[tuple[Hashable, tuple[tuple[object, Hashable], ...]]]:
+    """Yield each node reached breadth-first from ``initial`` with its ``(label, target)`` moves.
+
+    Nodes come in discovery order; a node's moves are read only when the walk
+    reaches it.  Raises :class:`BoundExceeded` as soon as more than ``bound``
+    nodes would be reached, and ``ValueError`` when ``bound`` is below one.
+    """
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    seen = {initial}
+    queue = deque([initial])
+    while queue:
+        node = queue.popleft()
+        out = tuple(moves(node))
+        for _, target in out:
+            if target not in seen:
+                if len(seen) >= bound:
+                    raise BoundExceeded(bound)
+                seen.add(target)
+                queue.append(target)
+        yield node, out
+
+
 def reachability_graph(net: PetriNet, initial: Marking,
                        bound: int = DEFAULT_BOUND) -> ReachabilityGraph:
     """Breadth-first reachability exploration from ``initial``.
@@ -156,23 +183,17 @@ def reachability_graph(net: PetriNet, initial: Marking,
     Raises :class:`BoundExceeded` as soon as more than ``bound`` distinct
     markings would be recorded; stripped nets with token-generating
     transitions are unbounded, and this is the safety valve for them.
-    Raises ``ValueError`` when ``initial`` marks a place the net lacks.
+    Raises ``ValueError`` when ``initial`` marks a place the net lacks or
+    ``bound`` is below one.
     """
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    places = set(net.places)
-    unknown = [p for p, _ in initial.tokens if p not in places]
+    unknown = sorted({p for p, _ in initial.tokens} - set(net.places))
     if unknown:
         raise ValueError(f"initial marking names places not in the net: {', '.join(unknown)}")
     # Only a transition that consumes from a marked place, or from no place
     # at all, can be enabled.
     generators = {t for t in net.transitions if not net.preset(t)}
-    nodes: list[Marking] = [initial]
-    seen: set[Marking] = {initial}
-    edges: list[tuple[Marking, str, Marking]] = []
-    queue: deque[Marking] = deque([initial])
-    while queue:
-        marking = queue.popleft()
+
+    def successors(marking: Marking) -> Iterator[tuple[str, Marking]]:
         counts = marking.as_dict()
         candidates = set(generators)
         for p in counts:
@@ -187,15 +208,11 @@ def reachability_graph(net: PetriNet, initial: Marking,
                 after[p] -= 1
             for p in net.postset(t):
                 after[p] = after.get(p, 0) + 1
-            succ = Marking.of(after)
-            if succ not in seen:
-                if len(nodes) >= bound:
-                    raise BoundExceeded(bound)
-                seen.add(succ)
-                nodes.append(succ)
-                queue.append(succ)
-            edges.append((marking, t, succ))
-    return ReachabilityGraph(tuple(nodes), initial, tuple(edges))
+            yield t, Marking.of(after)
+
+    graph = list(explore(initial, successors, bound))
+    return ReachabilityGraph(tuple(m for m, _ in graph), initial,
+                             tuple((m, t, succ) for m, out in graph for t, succ in out))
 
 
 def export_pnml(net: PetriNet) -> str:

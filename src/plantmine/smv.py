@@ -60,7 +60,7 @@ def emit_plant_module(fb: FunctionBlock) -> str:
     """
     _check_name(fb.name, "module name")
     state_names = [s.name for s in fb.states]
-    for name in state_names + list(fb.event_inputs) + list(fb.event_outputs):
+    for name in state_names + [*fb.event_inputs, *fb.event_outputs, *fb.sensor_vars]:
         _check_name(name, "identifier")
     for source in state_names:
         if source in fb.ndt_edges(source):

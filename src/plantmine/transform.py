@@ -11,14 +11,13 @@ labeling is what the closed-loop safety property is checked against.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
 from .errors import InconsistentLabeling, ParseError, UnmappedAction
 from .eventlog import NAME_RE
-from .petri import ReachabilityGraph, _dot_quote
+from .petri import ReachabilityGraph, _dot_quote, explore
 
 # Guard marker for spontaneous transitions in the FB text format.
 NDT_GUARD = "NDT"
@@ -318,27 +317,22 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
             transitions.append((mid, None, dst))
 
     all_states = list(fsm.states) + extra_states
-    outgoing: dict[str, list[str]] = {s: [] for s in all_states}
-    for src, _, dst in transitions:
-        outgoing[src].append(dst)
+    outgoing: dict[str, list[tuple[str | None, str]]] = {s: [] for s in all_states}
+    for src, guard, dst in transitions:
+        outgoing[src].append((guard, dst))
 
     rest = tuple((var, bool(initial_valuation[var])) for var in variables)
     valuations = {fsm.initial: rest}
-    queue = deque([fsm.initial])
-    while queue:
-        current = queue.popleft()
+    for current, out in explore(fsm.initial, outgoing.__getitem__, len(all_states)):
         base = valuations[current]
-        for dst in outgoing[current]:
+        for _, dst in out:
             if dst == fsm.initial:
                 continue
             derived = base
             if dst in emission:
                 index, latch = writes[emission[dst]]
                 derived = base[:index] + (latch,) + base[index + 1:]
-            if dst not in valuations:
-                valuations[dst] = derived
-                queue.append(dst)
-            elif valuations[dst] != derived:
+            if valuations.setdefault(dst, derived) != derived:
                 raise InconsistentLabeling(dst)
 
     states = tuple(EccState(s, emission.get(s), valuations.get(s, rest))

@@ -8,22 +8,23 @@ CTL properties are then checked by worklist labeling in the manner of Clarke,
 Emerson and Sistla (TOPLAS 1986): predecessor lists are built once with the
 structure, EX is a union over predecessors, EU/EF a backward breadth-first
 search and EG a successor-count worklist, so each operator costs O(|S|+|R|).
-Failing AG properties come with breadth-first counterexample paths.  One
-renderer prints formulas both for the report (:func:`render_ctl`) and, with
-NuSMV's spelling and atoms, for the ``CTLSPEC`` lines of :mod:`plantmine.smv`.
+The breadth-first walk :func:`plantmine.petri.explore` builds the product and
+finds each failing AG property's shortest counterexample path.  One renderer
+prints formulas both for the report (:func:`render_ctl`) and, with NuSMV's
+spelling and atoms, for the ``CTLSPEC`` lines of :mod:`plantmine.smv`.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import (AlphabetMismatch, BoundExceeded, NondeterministicController,
-                     ParseError, UndeclaredEvent, UnknownAtom)
+from .errors import (AlphabetMismatch, NondeterministicController, ParseError,
+                     UndeclaredEvent, UnknownAtom)
 from .eventlog import NAME_RE
-from .petri import DEFAULT_BOUND
+from .petri import DEFAULT_BOUND, explore
 from .transform import FunctionBlock
 
 STUTTER = "stutter"
@@ -205,8 +206,6 @@ def compose(plant: FunctionBlock, ctl: ControllerFSM,
     Raises :class:`BoundExceeded` as soon as more than ``bound`` composite
     states would be recorded.
     """
-    if bound < 1:
-        raise ValueError("bound must be positive")
     _check_wiring(plant, ctl)
 
     atoms = set(plant.sensor_vars)
@@ -214,10 +213,8 @@ def compose(plant: FunctionBlock, ctl: ControllerFSM,
     atoms.update(f"ctl_state={c}" for c in ctl.states)
 
     def labels_of(state: CompositeState) -> frozenset[str]:
-        props = {var for var, value in plant.state(state.plant).valuation if value}
-        props.add(f"plant_state={state.plant}")
-        props.add(f"ctl_state={state.ctl}")
-        return frozenset(props)
+        return frozenset({var for var, value in plant.state(state.plant).valuation if value}
+                         | {f"plant_state={state.plant}", f"ctl_state={state.ctl}"})
 
     def successors_of(state: CompositeState) -> tuple[tuple[str, CompositeState], ...]:
         p, c, pending = state
@@ -251,26 +248,11 @@ def compose(plant: FunctionBlock, ctl: ControllerFSM,
     diagnostics: set[Diagnostic] = set()
     initial = CompositeState(plant.initial_state, ctl.initial,
                              plant.emission(plant.initial_state))
-    states: list[CompositeState] = [initial]
-    seen = {initial}
-    successors: dict[CompositeState, tuple] = {}
-    labels: dict[CompositeState, frozenset[str]] = {}
-    queue: deque[CompositeState] = deque([initial])
-    while queue:
-        state = queue.popleft()
-        labels[state] = labels_of(state)
-        succs = successors_of(state)
-        successors[state] = succs
-        for _, target in succs:
-            if target not in seen:
-                if len(states) >= bound:
-                    raise BoundExceeded(bound)
-                seen.add(target)
-                states.append(target)
-                queue.append(target)
+    successors = dict(explore(initial, successors_of, bound))
     ordered_diags = tuple(sorted(diagnostics, key=lambda d: (d.kind, str(d.state), d.event)))
-    return KripkeStructure(states=tuple(states), initial=initial,
-                           successors=successors, labels=labels,
+    return KripkeStructure(states=tuple(successors), initial=initial,
+                           successors=successors,
+                           labels={state: labels_of(state) for state in successors},
                            atoms=frozenset(atoms), diagnostics=ordered_diags)
 
 
@@ -359,7 +341,12 @@ class AU(Formula):
 # Each unary temporal operator is spelled as its class name, for parsing and
 # rendering alike; "G" is accepted as a spelling of AG.
 _TEMPORAL = (EX, EF, EG, AX, AF, AG)
-_UNARY_TEMPORAL = {op.__name__: op for op in _TEMPORAL} | {"G": AG}
+_PREFIX = {op.__name__: op for op in _TEMPORAL} | {"G": AG, "!": Not}
+
+# Deepest syntax tree, and nesting of operators and brackets, parse_ctl accepts.
+# Per level the parser recurses at most four frames (a bracket), the renderers
+# two and satisfying_states one: well under Python's default recursion limit.
+MAX_CTL_DEPTH = 100
 
 _TOKEN_RE = re.compile(r"\s*(->|[!&|()\[\]=]|[A-Za-z0-9_]+)")
 
@@ -383,6 +370,7 @@ class _CtlParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # unary() calls under way: operators and brackets open, plus one
 
     def peek(self) -> str | None:
         return self.tokens[self.index][0] if self.index < len(self.tokens) else None
@@ -406,14 +394,20 @@ class _CtlParser:
         formula = self.implication()
         if self.peek() is not None:
             raise ParseError(self.pos(), f"trailing input {self.peek()!r}")
+        depth, layer = 0, [formula]  # by layers: long & | -> chains are never on the stack
+        while layer:
+            depth += 1
+            layer = [c for f in layer for c in vars(f).values() if isinstance(c, Formula)]
+        if depth > MAX_CTL_DEPTH:
+            raise ParseError(0, f"formula nested deeper than {MAX_CTL_DEPTH} levels")
         return formula
 
     def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
+        parts = [self.disjunction()]  # -> associates to the right
+        while self.peek() == "->":
             self.take()
-            return Implies(left, self.implication())
-        return left
+            parts.append(self.disjunction())
+        return reduce(lambda right, left: Implies(left, right), reversed(parts))
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
@@ -431,36 +425,35 @@ class _CtlParser:
 
     def unary(self) -> Formula:
         token = self.peek()
+        self.depth += 1
+        if self.depth > MAX_CTL_DEPTH:
+            raise ParseError(self.pos(), f"formula nested deeper than {MAX_CTL_DEPTH} levels")
         if token is None:
             raise ParseError(self.pos(), "unexpected end of formula")
-        if token == "!":
+        if token in _PREFIX:
             self.take()
-            return Not(self.unary())
-        if token in _UNARY_TEMPORAL:
-            self.take()
-            return _UNARY_TEMPORAL[token](self.unary())
-        if token in ("A", "E"):
+            formula = _PREFIX[token](self.unary())
+        elif token in ("A", "E"):
             self.take()
             self.expect("[")
             left = self.implication()
             self.expect("U")
             right = self.implication()
             self.expect("]")
-            return AU(left, right) if token == "A" else EU(left, right)
-        if token == "(":
+            formula = AU(left, right) if token == "A" else EU(left, right)
+        elif token == "(":
             self.take()
-            inner = self.implication()
+            formula = self.implication()
             self.expect(")")
-            return inner
-        if token == "TRUE":
+        elif token in ("TRUE", "FALSE"):
             self.take()
-            return Const(True)
-        if token == "FALSE":
-            self.take()
-            return Const(False)
-        if NAME_RE.match(token):
-            return self.atom()
-        raise ParseError(self.pos(), f"unexpected token {token!r}")
+            formula = Const(token == "TRUE")
+        elif NAME_RE.match(token):
+            formula = self.atom()
+        else:
+            raise ParseError(self.pos(), f"unexpected token {token!r}")
+        self.depth -= 1
+        return formula
 
     def atom(self) -> Formula:
         name = self.take()
@@ -482,7 +475,8 @@ def parse_ctl(text: str) -> Formula:
 
     ``G`` is accepted as a spelling of ``AG``; ``X = TRUE`` comparisons
     normalize to the bare proposition, ``X = FALSE`` to its negation, and
-    ``X = Y`` to the compound proposition ``X=Y``.
+    ``X = Y`` to the compound proposition ``X=Y``.  Formulas nested deeper
+    than :data:`MAX_CTL_DEPTH` raise :class:`ParseError`.
     """
     return _CtlParser(text).parse()
 
@@ -666,29 +660,22 @@ def _shortest_violation(k: KripkeStructure, good: frozenset) -> tuple[PathStep, 
     """Breadth-first path from the initial state to the nearest state outside ``good``, if any."""
     if len(good) == len(k.states):  # no state is outside: nothing to search
         return None
-    parents: dict = {k.initial: None}
-    queue: deque = deque([k.initial])
-    found = None
-    if k.initial not in good:
-        found = k.initial
-    while queue and found is None:
-        state = queue.popleft()
-        for label, target in k.successors[state]:
-            if target in parents:
-                continue
-            parents[target] = (state, label)
-            if target not in good:
-                found = target
+    parents: dict = {k.initial: (None, None)}
+    found = k.initial
+    if found in good:
+        walk = explore(k.initial, k.successors.__getitem__, len(k.states))
+        # the walk ends on discovering a state outside good: setdefault keeps first parents
+        for state, label, found in ((s, label, t) for s, out in walk for label, t in out):
+            parents.setdefault(found, (state, label))
+            if found not in good:
                 break
-            queue.append(target)
-    if found is None:
-        return None
+        else:
+            return None
     steps: list[PathStep] = []
-    cursor = found
-    while cursor is not None:
-        parent = parents[cursor]
-        steps.append(PathStep(None if parent is None else parent[1], cursor))
-        cursor = None if parent is None else parent[0]
+    while found is not None:
+        parent, label = parents[found]
+        steps.append(PathStep(label, found))
+        found = parent
     return tuple(reversed(steps))
 
 

@@ -7,6 +7,7 @@ import pytest
 from plantmine import cli
 from plantmine.cli import main
 from plantmine.fixture import FIXTURE_CONTROLLER_TEXT
+from plantmine.verify import MAX_CTL_DEPTH
 
 ARTIFACT_NAMES = ["log.csv", "filtered.csv", "log.xes", "net.pnml",
                   "reachability.dot", "plant.fb", "closed_loop.smv",
@@ -153,6 +154,16 @@ class TestStages:
         assert (tmp_path / "closed_loop.smv").exists()
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("var", ["next", "state"])
+    def test_emit_smv_rejects_keyword_sensor(self, tmp_path, capsys, var):
+        log, amap, controller = write_inputs(tmp_path)
+        amap.write_text(amap.read_text().replace("HOME=", f"{var}="))
+        code = run("emit-smv", "--log", str(log), "--marking", "p.HOME_ON..EXT=1",
+                   "--actionmap", str(amap), "--controller", str(controller),
+                   "--spec", f"AG !({var} & END)", "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "collides with an SMV keyword" in capsys.readouterr().err
+
     def test_verify_stage_with_files(self, tmp_path):
         run("simulate", "--seed", "7", "--traces", "5", "--out", str(tmp_path))
         amap = tmp_path / "map.txt"
@@ -244,8 +255,13 @@ class TestStages:
         (["mine"], ["1,2021-05-10T10:00:00Z,HC,source", "1,2021-05-10T10:00:01Z,HC,EXT"]),
         (["mine"], ["1,0001-01-01T00:30:00+01:00,HC,EXT"]),
         (["pipeline", "--fixture", "--spec", "AG NOPE"], None),
+        (["pipeline", "--fixture", "--spec", "AG " + "!" * 600 + "HOME"], None),
+        (["pipeline", "--fixture", "--spec", " & ".join(["HOME"] * 600)], None),
+        (["pipeline", "--fixture", "--spec", "!" * 3000 + "HOME"], None),
+        (["pipeline", "--fixture", "--spec", "(" * 1200 + "HOME" + ")" * 1200], None),
     ], ids=["zero-traces", "empty-cycles", "zero-bound", "negative-marking",
-            "unknown-place", "action-named-source", "timestamp-overflow", "unknown-atom"])
+            "unknown-place", "action-named-source", "timestamp-overflow", "unknown-atom",
+            "600-negations", "600-term-chain", "3000-negations", "1200-parentheses"])
     def test_invalid_value_exits_two(self, tmp_path, capsys, argv, rows):
         if rows is not None:
             log = tmp_path / "log.csv"
@@ -254,6 +270,16 @@ class TestStages:
             argv = argv + ["--log", str(log)]
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_specs_at_nesting_limit_run(self, tmp_path, capsys):
+        # AG, MAX_CTL_DEPTH - 3 negations, & and an atom: a tree exactly the limit deep;
+        # the parentheses bring "AG !(HOME & END)" to exactly the limit's nesting.
+        deepest = "AG " + "!" * (MAX_CTL_DEPTH - 4) + "!(HOME & END)"
+        widest = "(" * (MAX_CTL_DEPTH - 4) + "AG !(HOME & END)" + ")" * (MAX_CTL_DEPTH - 4)
+        assert run("pipeline", "--fixture", "--traces", "5", "--spec", deepest,
+                   "--spec", widest, "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "closed_loop.smv").read_text().count("CTLSPEC") == 2
 
 
 class TestNuSMVCrossCheck:

@@ -7,7 +7,7 @@ from plantmine.eventlog import export_csv, filter_component, group_traces
 from plantmine.fixture import (CYCLE, MUTATIONS, SimConfig, fixture_action_map,
                                fixture_controller, rest_position_marking,
                                simulate_two_cylinder)
-from plantmine.petri import strip_boundary
+from plantmine.petri import PetriNet, strip_boundary
 
 
 class TestSimConfig:
@@ -86,10 +86,14 @@ class TestRestPositionMarking:
         place = marking.tokens[0][0]
         assert (place, "EXT") in stripped.arcs
 
-    def test_requires_unique_feeder(self, fixture_net):
-        stripped = strip_boundary(fixture_net)
-        with pytest.raises(MarkingRequired):
-            rest_position_marking(stripped, control_action="NO_SUCH_ACTION")
+    def test_requires_unique_feeder(self):
+        no_extend = PetriNet(places=("p", "q"), transitions=("RET",),
+                             arcs=(("p", "RET"), ("RET", "q")))
+        two_feeders = PetriNet(places=("p", "q"), transitions=("EXT",),
+                               arcs=(("p", "EXT"), ("q", "EXT")))
+        for net in (no_extend, two_feeders):
+            with pytest.raises(MarkingRequired):
+                rest_position_marking(net)
 
 
 def test_closed_loop_satisfies_sensor_exclusion(fixture_kripke):

@@ -74,6 +74,14 @@ class TestPlantModule:
         with pytest.raises(SmvUnsupported):
             emit_plant_module(fb)
 
+    @pytest.mark.parametrize("var", ["next", "state"])
+    def test_sensor_keyword_collision_rejected(self, var):
+        fsm = FSM(states=("Q0", "Q1"), initial="Q0", edges=(("Q0", "HOME_ON", "Q1"),))
+        from plantmine.transform import ActionMap
+        fb = build_plant_fb(fsm, ActionMap.of(sensors={"HOME_ON": (var, True)}), {var: False})
+        with pytest.raises(SmvUnsupported, match=f"identifier '{var}'"):
+            emit_plant_module(fb)
+
 
 class TestControllerModule:
     def test_fixture_controller(self):

@@ -9,10 +9,10 @@ from plantmine.errors import (AlphabetMismatch, BoundExceeded,
 from plantmine.fixture import (FIXTURE_CONTROLLER_TEXT, INITIAL_VALUATION,
                                fixture_action_map, fixture_controller)
 from plantmine.transform import FSM, build_plant_fb
-from plantmine.verify import (AG, AU, EF, EU, And, Atom, CompositeState,
-                              Implies, KripkeStructure, Not, Or, check_ctl,
-                              compose, parse_controller, parse_ctl, render_ctl,
-                              satisfying_states)
+from plantmine.verify import (AG, AU, EF, EU, MAX_CTL_DEPTH, And, Atom,
+                              CompositeState, Implies, KripkeStructure, Not, Or,
+                              PathStep, check_ctl, compose, parse_controller,
+                              parse_ctl, render_ctl, satisfying_states)
 
 from helpers import (ctl_oracle, random_controller, random_formula,
                      random_kripke, random_multi_kripke, random_plant_fsm,
@@ -171,6 +171,19 @@ class TestParseCtl:
     def test_smv_until_spelling_parses(self):
         assert parse_ctl("E [ p U q ]") == parse_ctl("E[p U q]") == EU(Atom("p"), Atom("q"))
 
+    @pytest.mark.parametrize("nested", [
+        lambda n: "!" * (n - 1) + "p",
+        lambda n: " & ".join(["p"] * n),
+        lambda n: " -> ".join(["p"] * n),
+        lambda n: "E [ " * (n - 1) + "p" + " U q ]" * (n - 1),
+        lambda n: "(" * (n - 1) + "p" + ")" * (n - 1),
+    ], ids=["negations", "conjunctions", "implications", "untils", "parentheses"])
+    def test_nesting_limit(self, nested):
+        formula = parse_ctl(nested(MAX_CTL_DEPTH))
+        assert parse_ctl(render_ctl(formula)) == formula
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_ctl(nested(MAX_CTL_DEPTH + 1))
+
 
 def single_state_structure():
     return KripkeStructure(states=("s0",), initial="s0",
@@ -285,6 +298,24 @@ class TestOracleAgreement:
                 satisfying_states(k, parse_ctl("!EX !p"))
 
 
+class CountingSuccessors(Mapping):
+    """A successor map that counts its lookups."""
+
+    def __init__(self, data):
+        self.data = data
+        self.lookups = 0
+
+    def __getitem__(self, state):
+        self.lookups += 1
+        return self.data[state]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
 class TestWorklistLabeling:
     def test_matches_oracle_and_round_based_reference(self):
         # self-loops and parallel edges exercise the EG successor counts
@@ -299,21 +330,6 @@ class TestWorklistLabeling:
             assert stats == reference_stats
 
     def test_successor_lookups_linear_on_chain(self):
-        class CountingSuccessors(Mapping):
-            def __init__(self, data):
-                self.data = data
-                self.lookups = 0
-
-            def __getitem__(self, state):
-                self.lookups += 1
-                return self.data[state]
-
-            def __iter__(self):
-                return iter(self.data)
-
-            def __len__(self):
-                return len(self.data)
-
         n = 3000
         states = tuple(range(n))
         successors = CountingSuccessors(
@@ -330,6 +346,22 @@ class TestWorklistLabeling:
             assert verdict.holds is holds
             assert successors.lookups <= 2 * (n + edges), text
         assert len(verdict.counterexample) == n
+
+    def test_witness_search_stops_at_first_violation(self):
+        n, depth = 3000, 5
+        states = tuple(range(n))
+        successors = CountingSuccessors(
+            {s: (("next", min(s + 1, n - 1)),) for s in states})
+        k = KripkeStructure(states=states, initial=0, successors=successors,
+                            labels={s: frozenset({"bad"} if s >= depth else ())
+                                    for s in states},
+                            atoms=frozenset({"bad"}))
+        successors.lookups = 0
+        verdict = check_ctl(k, parse_ctl("AG !bad"))
+        assert not verdict.holds
+        assert successors.lookups <= depth + 1
+        assert verdict.counterexample == tuple(
+            PathStep(None if s == 0 else "next", s) for s in range(depth + 1))
 
 
 class TestClosedLoopWithRandomPlants:
