@@ -106,18 +106,18 @@ def _parse_cycles(text: str) -> tuple[int, int]:
         raise UsageError(f"--cycles expects integers, got {text!r}") from None
 
 
-def _parse_marking(specs: list[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
+def _parse_marking(specs: list[str]) -> list[tuple[str, int]]:
+    pairs: list[tuple[str, int]] = []
     for chunk in specs:
         for pair in chunk.split(","):
             place, sep, count = pair.partition("=")
             if not sep or not place:
                 raise UsageError(f"--marking expects place=count pairs, got {pair!r}")
             try:
-                counts[place] = int(count)
+                pairs.append((place, int(count)))
             except ValueError:
                 raise UsageError(f"--marking count must be an integer: {pair!r}") from None
-    return counts
+    return pairs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +225,7 @@ def _execute(args: argparse.Namespace) -> int:
     stripped = petri.strip_boundary(net)
     explicit = _parse_marking(args.marking)
     if explicit:
-        marking = petri.Marking.of(explicit)
+        marking = petri.Marking(tuple(explicit))
     elif args.fixture:
         marking = fixture.rest_position_marking(stripped)
     else:

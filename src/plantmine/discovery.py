@@ -160,7 +160,7 @@ def alpha_discover(traces: TraceSet) -> PetriNet:
         arcs.update((a, pid) for a in a_set)
         arcs.update((pid, b) for b in b_set)
     return PetriNet(places=tuple(places),
-                    transitions=tuple(sorted(traces.alphabet)),
+                    transitions=tuple(traces.alphabet),
                     arcs=tuple(arcs),
                     source=SOURCE_PLACE, sink=SINK_PLACE)
 

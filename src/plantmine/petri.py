@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
-from xml.sax.saxutils import quoteattr
+from xml.sax.saxutils import escape, quoteattr
 
 from .errors import BoundExceeded, MarkingRequired, NoBoundary, NotEnabled
 
@@ -21,20 +21,23 @@ DEFAULT_BOUND = 10_000
 
 @dataclass(frozen=True)
 class Marking:
-    """Token counts per place, canonicalized as sorted (place, count) pairs.
+    """Token counts per place as (place, count) pairs.
 
-    Zero counts are omitted, so equal markings compare and hash equal no
-    matter how they were built.
+    The constructor sorts the pairs, drops zero counts and rejects a negative
+    count or a place named twice, so equal markings compare and hash equal.
     """
 
     tokens: tuple[tuple[str, int], ...] = ()
 
+    def __post_init__(self) -> None:
+        counts = dict(self.tokens)
+        if len(counts) != len(self.tokens) or any(c < 0 for c in counts.values()):
+            raise ValueError(f"marking needs one non-negative count per place: {self.tokens}")
+        object.__setattr__(self, "tokens", tuple(sorted((p, c) for p, c in counts.items() if c)))
+
     @classmethod
     def of(cls, counts: Mapping[str, int]) -> "Marking":
-        for place, count in counts.items():
-            if count < 0:
-                raise ValueError(f"negative token count for place {place!r}")
-        return cls(tuple(sorted((p, c) for p, c in counts.items() if c)))
+        return cls(tuple(counts.items()))
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.tokens)
@@ -228,13 +231,13 @@ def export_pnml(net: PetriNet) -> str:
              '    <page id="page0">']
     for place in net.places:
         lines.append(f"      <place id={quoteattr(place)}>")
-        lines.append(f"        <name><text>{place}</text></name>")
+        lines.append(f"        <name><text>{escape(place)}</text></name>")
         if place == net.source:
             lines.append("        <initialMarking><text>1</text></initialMarking>")
         lines.append("      </place>")
     for transition in net.transitions:
         lines.append(f"      <transition id={quoteattr(transition)}>")
-        lines.append(f"        <name><text>{transition}</text></name>")
+        lines.append(f"        <name><text>{escape(transition)}</text></name>")
         lines.append("      </transition>")
     for index, (src, dst) in enumerate(net.arcs):
         lines.append(f'      <arc id="a{index}" source={quoteattr(src)} '

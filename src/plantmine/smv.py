@@ -9,6 +9,7 @@ byte-deterministic: LF endings, no tabs, sorted enumerations.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import SmvUnsupported, UnknownAtom
@@ -62,11 +63,6 @@ def emit_plant_module(fb: FunctionBlock) -> str:
     state_names = [s.name for s in fb.states]
     for name in state_names + [*fb.event_inputs, *fb.event_outputs, *fb.sensor_vars]:
         _check_name(name, "identifier")
-    for source in state_names:
-        if source in fb.ndt_edges(source):
-            raise SmvUnsupported(
-                f"state {source!r} has a spontaneous self-loop, which this "
-                "encoding cannot distinguish from a stutter step")
 
     lines = [f"MODULE {fb.name}(pending)",
              "VAR",
@@ -79,11 +75,16 @@ def emit_plant_module(fb: FunctionBlock) -> str:
         if guard is not None:
             guarded.setdefault((guard, src), []).append(dst)
     for (guard, src), targets in sorted(guarded.items()):
-        lines.append(f"    pending = {guard} & state = {src} : {_choice(sorted(targets))};")
+        lines.append(f"    pending = {guard} & state = {src} : {_choice(targets)};")
     for src in state_names:
         targets = fb.ndt_edges(src)
+        if src in targets:
+            raise SmvUnsupported(
+                f"state {src!r} has a spontaneous self-loop, which this "
+                "encoding cannot distinguish from a stutter step")
         if targets:
-            options = sorted({src, *targets})
+            options = list(targets)
+            insort(options, src)
             lines.append(f"    pending = none & state = {src} : {_choice(options)};")
     lines.append("    TRUE : state;")
     lines.append("  esac;")
@@ -103,11 +104,11 @@ def emit_plant_module(fb: FunctionBlock) -> str:
 
 def emit_controller_module(ctl: ControllerFSM) -> str:
     """One SMV module for the controller, with its output event as a define."""
-    for name in list(ctl.states) + list(ctl.inputs) + list(ctl.outputs):
+    for name in ctl.states + ctl.inputs + ctl.outputs:
         _check_name(name, "identifier")
     lines = [f"MODULE {CONTROLLER_MODULE}(pending)",
              "VAR",
-             "  state : {" + ", ".join(sorted(ctl.states)) + "};",
+             "  state : {" + ", ".join(ctl.states) + "};",
              "ASSIGN",
              f"  init(state) := {ctl.initial};",
              "  next(state) := case"]

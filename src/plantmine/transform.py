@@ -41,9 +41,7 @@ class ActionMap:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries",
-                           tuple(sorted(self.entries,
-                                        key=lambda e: (e[0], e[1].value, str(e[2])))))
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e[0])))
         by_action = {}
         for action, kind, effect in self.entries:
             if not NAME_RE.match(action) or action == NDT_GUARD:
@@ -124,10 +122,7 @@ class FSM:
 
     def __post_init__(self) -> None:
         # Edge sets may be given in any order; first occurrence wins on duplicates.
-        deduped: dict[tuple[str, str, str], None] = {}
-        for edge in self.edges:
-            deduped.setdefault(tuple(edge), None)
-        object.__setattr__(self, "edges", tuple(deduped))
+        object.__setattr__(self, "edges", tuple(dict.fromkeys(tuple(e) for e in self.edges)))
         state_set = set(self.states)
         if len(state_set) != len(self.states):
             raise ValueError("duplicate state names")
@@ -175,9 +170,10 @@ class FunctionBlock:
     """Plant-model basic function block: event interface plus execution control chart.
 
     Transitions are (source, guard, target) with guard ``None`` for
-    spontaneous (non-deterministic) transitions.  All collections are kept
-    canonically sorted so equal blocks compare equal and serialize to
-    identical bytes.
+    spontaneous (non-deterministic) transitions.  The constructor sorts every
+    collection (states by name) and drops repeats, so equal blocks serialize
+    to identical bytes; it rejects the event ``NDT``, a state named twice and
+    any name outside ``A-Z a-z 0-9 _``.
     """
 
     name: str
@@ -194,29 +190,30 @@ class FunctionBlock:
     def __post_init__(self) -> None:
         object.__setattr__(self, "event_inputs", tuple(sorted(set(self.event_inputs))))
         object.__setattr__(self, "event_outputs", tuple(sorted(set(self.event_outputs))))
-        object.__setattr__(self, "states", tuple(sorted(set(self.states),
-                                                        key=lambda s: s.name)))
+        by_name = {s.name: s for s in self.states}
+        if len(by_name) != len(self.states):
+            raise ValueError("duplicate EC state names")
+        object.__setattr__(self, "states", tuple(by_name[n] for n in sorted(by_name)))
         transitions = tuple(sorted(set(tuple(t) for t in self.transitions),
                                    key=lambda t: (t[0], t[1] or "", t[2])))
         object.__setattr__(self, "transitions", transitions)
 
-        if not NAME_RE.match(self.name):
-            raise ValueError(f"invalid block name {self.name!r}")
         if set(self.event_inputs) & set(self.event_outputs):
             raise ValueError("event inputs and outputs overlap")
-        by_name = {s.name: s for s in self.states}
-        if len(by_name) != len(self.states):
-            raise ValueError("duplicate EC state names")
         if self.initial_state not in by_name:
             raise ValueError(f"initial state {self.initial_state!r} missing")
         # Every state sets each latch once, in sorted order, so valuations
         # line up slot by slot.  build_plant_fb shares one valuation tuple
         # among many states, so each distinct tuple is checked once.
         latches = sorted({var for var, _ in by_name[self.initial_state].valuation})
+        events = self.event_inputs + self.event_outputs
+        for name in (self.name, *by_name, *events, *latches):
+            if not NAME_RE.match(name):
+                raise ValueError(f"invalid name {name!r}")
+        if NDT_GUARD in events:
+            raise ValueError(f"event name {NDT_GUARD!r} is reserved for spontaneous transitions")
         checked: set[int] = set()
         for state in self.states:
-            if not NAME_RE.match(state.name):
-                raise ValueError(f"invalid state name {state.name!r}")
             if state.emission is not None and state.emission not in self.event_outputs:
                 raise ValueError(f"state {state.name!r} emits unknown event")
             if id(state.valuation) not in checked:
@@ -338,8 +335,8 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
     states = tuple(EccState(s, emission.get(s), valuations.get(s, rest))
                    for s in all_states)
     return FunctionBlock(name=name,
-                         event_inputs=tuple(sorted(control)),
-                         event_outputs=tuple(sorted(sensor)),
+                         event_inputs=tuple(control),
+                         event_outputs=tuple(sensor),
                          states=states,
                          initial_state=fsm.initial,
                          transitions=tuple(transitions))
@@ -385,12 +382,9 @@ def parse_fb(text: str) -> FunctionBlock:
             inputs = tuple(fields[1:])
         elif key == "outputs":
             outputs = tuple(fields[1:])
-        elif key == "sensors":
-            pass  # derivable from the state lines
         elif key == "initial" and len(fields) == 2:
             initial = fields[1]
         elif key == "state" and len(fields) >= 3:
-            state_name = fields[1]
             if not fields[2].startswith("emit="):
                 raise ParseError(line_no, "state line missing emit=")
             emit = fields[2][len("emit="):]
@@ -400,12 +394,12 @@ def parse_fb(text: str) -> FunctionBlock:
                 if value not in ("true", "false"):
                     raise ParseError(line_no, f"bad latch value {item!r}")
                 valuation.append((var, value == "true"))
-            states.append(EccState(state_name, None if emit == "-" else emit,
+            states.append(EccState(fields[1], None if emit == "-" else emit,
                                    tuple(sorted(valuation))))
         elif key == "trans" and len(fields) == 4:
             guard = None if fields[2] == NDT_GUARD else fields[2]
             transitions.append((fields[1], guard, fields[3]))
-        else:
+        elif key != "sensors":  # the sensors line is derivable from the state lines
             raise ParseError(line_no, f"unrecognized line {line!r}")
     if name is None or initial is None:
         raise ParseError(0, "missing name or initial declaration")

@@ -35,7 +35,10 @@ STUTTER = "stutter"
 
 @dataclass(frozen=True)
 class ControllerFSM:
-    """Deterministic Mealy-style controller: on one input event, optionally emit one output."""
+    """Deterministic Mealy-style controller: on one input event, optionally emit one output.
+
+    Its constructor sorts every collection and checks every name, as ``FunctionBlock``'s does.
+    """
 
     states: tuple[str, ...]
     initial: str
@@ -46,15 +49,18 @@ class ControllerFSM:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
+        state_set = set(self.states)
+        if len(state_set) != len(self.states):
+            raise ValueError("duplicate controller states")
+        object.__setattr__(self, "states", tuple(sorted(state_set)))
         object.__setattr__(self, "inputs", tuple(sorted(set(self.inputs))))
         object.__setattr__(self, "outputs", tuple(sorted(set(self.outputs))))
         object.__setattr__(self, "transitions",
                            tuple(sorted(set(tuple(t) for t in self.transitions),
                                         key=lambda t: (t[0], t[1]))))
-        state_set = set(self.states)
-        if len(state_set) != len(self.states):
-            raise ValueError("duplicate controller states")
+        for name in self.states + self.inputs + self.outputs:
+            if not NAME_RE.match(name):
+                raise ValueError(f"invalid name {name!r}")
         if self.initial not in state_set:
             raise ValueError(f"initial state {self.initial!r} not declared")
         if set(self.inputs) & set(self.outputs):
@@ -96,11 +102,7 @@ def parse_controller(text: str) -> ControllerFSM:
             continue
         head, sep, rest = line.partition(":")
         if sep and head in ("states", "initial", "inputs", "outputs"):
-            names = rest.split()
-            for name in names:
-                if not NAME_RE.match(name):
-                    raise ParseError(line_no, f"invalid name {name!r}")
-            decls[head] = names
+            decls[head] = rest.split()
             continue
         m = _TRANSITION_RE.match(line)
         if not m:

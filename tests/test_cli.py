@@ -252,6 +252,7 @@ class TestStages:
         (["reach", "--fixture", "--bound", "0"], None),
         (["reach", "--fixture", "--marking", "p.HOME_ON..EXT=-1"], None),
         (["reach", "--fixture", "--marking", "nosuch=1"], None),
+        (["reach", "--fixture", "--marking", "p.HOME_ON..EXT=1,p.HOME_ON..EXT=0"], None),
         (["mine"], ["1,2021-05-10T10:00:00Z,HC,source", "1,2021-05-10T10:00:01Z,HC,EXT"]),
         (["mine"], ["1,0001-01-01T00:30:00+01:00,HC,EXT"]),
         (["pipeline", "--fixture", "--spec", "AG NOPE"], None),
@@ -260,7 +261,7 @@ class TestStages:
         (["pipeline", "--fixture", "--spec", "!" * 3000 + "HOME"], None),
         (["pipeline", "--fixture", "--spec", "(" * 1200 + "HOME" + ")" * 1200], None),
     ], ids=["zero-traces", "empty-cycles", "zero-bound", "negative-marking",
-            "unknown-place", "action-named-source", "timestamp-overflow", "unknown-atom",
+            "unknown-place", "repeated-place", "action-named-source", "timestamp-overflow", "unknown-atom",
             "600-negations", "600-term-chain", "3000-negations", "1200-parentheses"])
     def test_invalid_value_exits_two(self, tmp_path, capsys, argv, rows):
         if rows is not None:

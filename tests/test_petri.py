@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from xml.dom import minidom
 from xml.etree import ElementTree
 
 from plantmine.discovery import alpha_discover, place_id
@@ -28,6 +29,28 @@ class TestMarking:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Marking.of({"a": -1})
+
+    def test_constructor_sorts_and_drops_zero_counts(self):
+        built = Marking((("b", 1), ("a", 1), ("c", 0)))
+        assert built.tokens == (("a", 1), ("b", 1))
+        assert built == Marking.of({"a": 1, "b": 1})
+        assert hash(built) == hash(Marking.of({"a": 1, "b": 1}))
+        assert Marking((("a", 1), ("b", 0))) == Marking((("a", 1),))
+
+    @pytest.mark.parametrize("tokens", [(("a", -1),), (("a", 1), ("a", 1)), (("a", 1), ("a", 0))],
+                             ids=["negative", "repeated", "repeated-zero"])
+    def test_constructor_rejects(self, tokens):
+        with pytest.raises(ValueError):
+            Marking(tokens)
+
+    def test_hand_built_marking_reaches_one_node(self):
+        # two self-loop rings: whatever order the pairs come in, one marking is reachable
+        net = PetriNet(places=("a", "b"), transitions=("t", "u"),
+                       arcs=(("a", "t"), ("t", "a"), ("b", "u"), ("u", "b")))
+        for initial in (Marking((("b", 1), ("a", 1))), Marking((("a", 1), ("b", 1), ("c", 0)))):
+            graph = reachability_graph(net, initial)
+            assert graph.nodes == (Marking.of({"a": 1, "b": 1}),)
+            assert [t for _, t, _ in graph.edges] == ["t", "u"]
 
     def test_lookup(self):
         m = Marking.of({"a": 2})
@@ -225,6 +248,14 @@ class TestExports:
         root = ElementTree.fromstring(export_pnml(PetriNet()))
         ns = "{http://www.pnml.org/version-2009/grammar/pnml}"
         assert root.findall(f".//{ns}place") == []
+
+    def test_pnml_escapes_name_text(self):
+        net = PetriNet(places=("a<b&c",), transitions=("t>1",), arcs=(("a<b&c", "t>1"),))
+        document = minidom.parseString(export_pnml(net))
+        names = [node.firstChild.data for node in document.getElementsByTagName("text")]
+        ids = [node.getAttribute("id") for tag in ("place", "transition")
+               for node in document.getElementsByTagName(tag)]
+        assert names == ids == ["a<b&c", "t>1"]
 
     def test_pnml_deterministic(self, fixture_net):
         assert export_pnml(fixture_net) == export_pnml(fixture_net)

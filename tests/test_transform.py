@@ -288,6 +288,66 @@ class TestFbDocument:
         assert '"Q0"' in dot
 
 
+FB_TEXT = ("plantfb v1\nname P\ninputs EXT\noutputs HOME_ON\ninitial Q0\n"
+           "state Q0 emit=- HOME=false\nstate Q1 emit=HOME_ON HOME=true\n"
+           "trans Q0 NDT Q1\ntrans Q1 EXT Q0\n")
+
+
+class TestNames:
+    def test_template_parses(self):
+        assert parse_fb(FB_TEXT).event_inputs == ("EXT",)
+
+    @pytest.mark.parametrize("old, new", [
+        ("EXT", "E-X"), ("HOME_ON", "H<N"), ("HOME=", "HO-ME="), ("name P", "name P-1"),
+        ("EXT", "NDT"), ("HOME_ON", "NDT"),
+    ], ids=["input", "output", "latch", "block", "ndt-input", "ndt-output"])
+    def test_parse_fb_rejects_bad_names(self, old, new):
+        with pytest.raises(ParseError, match="invalid name|reserved") as exc:
+            parse_fb(FB_TEXT.replace(old, new))
+        assert exc.value.position == 0
+
+    def test_ndt_input_rejected(self):
+        # exported as "trans Q0 NDT Q1", it would read back as a spontaneous move
+        with pytest.raises(ValueError, match="NDT"):
+            FunctionBlock(name="P", event_inputs=("NDT",), event_outputs=(),
+                          states=(EccState("Q0", None, ()), EccState("Q1", None, ())),
+                          initial_state="Q0", transitions=(("Q0", "NDT", "Q1"),))
+
+    def test_state_named_twice_rejected(self):
+        state = EccState("Q0", None, ())
+        with pytest.raises(ValueError, match="duplicate"):
+            FunctionBlock(name="P", event_inputs=(), event_outputs=(), states=(state, state),
+                          initial_state="Q0", transitions=())
+
+    def test_every_accepted_block_round_trips(self):
+        rng = random.Random(1107)
+        valid = ["A", "B_1", "q0", "Q1", "NDT_X", "x9", "emit", "state", "true"]
+        invalid = ["E-X", "H<N", "NDT", "HO ME", "", "a.b", "emit=-", "#c"]
+
+        def names(k):
+            return [rng.choice(invalid if rng.random() < 0.05 else valid) for _ in range(k)]
+
+        accepted = 0
+        for _ in range(400):
+            inputs, outputs = names(rng.randint(0, 2)), names(rng.randint(0, 2))
+            states = list(dict.fromkeys(names(rng.randint(1, 4))))
+            latches = sorted(set(names(rng.randint(0, 2))))
+            ecc = tuple(EccState(s, rng.choice([None, *outputs]),
+                                 tuple((v, rng.random() < 0.5) for v in latches)) for s in states)
+            transitions = tuple((rng.choice(states), rng.choice([None, *inputs]), rng.choice(states))
+                                for _ in range(rng.randint(0, 4)))
+            try:
+                fb = FunctionBlock(name=names(1)[0], event_inputs=tuple(inputs),
+                                   event_outputs=tuple(outputs), states=ecc,
+                                   initial_state=states[0], transitions=transitions)
+            except ValueError:
+                continue
+            accepted += 1
+            parsed = parse_fb(export_fb(fb))
+            assert parsed == fb and hash(parsed) == hash(fb)
+        assert accepted >= 100
+
+
 class TestLanguagePreservation:
     def test_fixture_language_equal(self, fixture_fsm, fixture_fb):
         depth = 12

@@ -10,7 +10,8 @@ from plantmine.fixture import (FIXTURE_CONTROLLER_TEXT, INITIAL_VALUATION,
                                fixture_action_map, fixture_controller)
 from plantmine.transform import FSM, build_plant_fb
 from plantmine.verify import (AG, AU, EF, EU, MAX_CTL_DEPTH, And, Atom,
-                              CompositeState, Implies, KripkeStructure, Not, Or,
+                              CompositeState, ControllerFSM, Implies, KripkeStructure,
+                              Not, Or,
                               PathStep, check_ctl, compose, parse_controller,
                               parse_ctl, render_ctl, satisfying_states)
 
@@ -51,6 +52,26 @@ class TestParseController:
         with pytest.raises(ParseError) as exc:
             parse_controller("states: C0\n???\n")
         assert exc.value.position == 2
+
+    @pytest.mark.parametrize("field, names", [
+        ("states", ("C-0",)), ("inputs", ("HOME ON",)), ("outputs", ("E<X",))])
+    def test_constructor_rejects_bad_names(self, field, names):
+        declared = {"states": ("C0",), "inputs": ("S",), "outputs": ("G",), field: names}
+        with pytest.raises(ValueError, match="invalid name"):
+            ControllerFSM(initial=declared["states"][0], transitions=(), **declared)
+
+    def test_bad_declared_name_reported_at_position_zero(self):
+        with pytest.raises(ParseError, match="invalid name") as exc:
+            parse_controller("states: C0\ninitial: C0\ninputs: S-1\noutputs: G\n")
+        assert exc.value.position == 0
+
+    def test_states_sorted(self):
+        ctl = ControllerFSM(states=("C1", "C0"), initial="C1", inputs=(), outputs=(),
+                            transitions=())
+        assert ctl.states == ("C0", "C1")
+        with pytest.raises(ValueError, match="duplicate"):
+            ControllerFSM(states=("C0", "C0"), initial="C0", inputs=(), outputs=(),
+                          transitions=())
 
     def test_undeclared_state_in_transition(self):
         text = ("states: C0\ninitial: C0\ninputs: S\noutputs: G\n"
