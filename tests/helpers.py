@@ -795,17 +795,14 @@ def ecc_words(fb: FunctionBlock, depth: int) -> set[tuple]:
 # ---------------------------------------------------------------------------
 # Concurrent plants built as nets
 
-def independent_cylinders(m: int) -> tuple[FunctionBlock, ControllerFSM]:
-    """m fixture cylinders side by side under a one-state reactive controller.
+def cylinder_net(m: int) -> tuple[PetriNet, Marking]:
+    """The marked net of :func:`independent_cylinders`: one ring per cylinder.
 
-    The net is built directly: one ring per cylinder ``A``, ``B``, ... with
-    one place after each action of the fixture cycle, marked before
-    ``HOME_x_ON`` so that no latch starts set.  The controller consumes every
-    sensor event and answers ``HOME_x_ON`` with ``EXT_x`` and ``END_x_ON``
-    with ``RET_x``.
+    Cylinder ``A``, ``B``, ... has one place after each action of the fixture
+    cycle and is marked before ``HOME_x_ON``, so that no latch starts set.
+    The rings share nothing, so the net reaches 6^m markings.
     """
     places, transitions, arcs, marked = [], [], [], {}
-    sensors, commands, moves = {}, [], []
     for tag in (chr(ord("A") + i) for i in range(m)):
         cycle = [f"EXT_{tag}", f"HOME_{tag}_OFF", f"END_{tag}_ON",
                  f"RET_{tag}", f"END_{tag}_OFF", f"HOME_{tag}_ON"]
@@ -814,6 +811,18 @@ def independent_cylinders(m: int) -> tuple[FunctionBlock, ControllerFSM]:
             arcs += [(action, f"{tag}{i}"), (f"{tag}{i}", cycle[(i + 1) % len(cycle)])]
         transitions += cycle
         marked[f"{tag}4"] = 1
+    return PetriNet(tuple(places), tuple(transitions), tuple(arcs)), Marking.of(marked)
+
+
+def independent_cylinders(m: int) -> tuple[FunctionBlock, ControllerFSM]:
+    """m fixture cylinders side by side under a one-state reactive controller.
+
+    The plant is the block of :func:`cylinder_net`'s reachability graph.  The
+    controller consumes every sensor event and answers ``HOME_x_ON`` with
+    ``EXT_x`` and ``END_x_ON`` with ``RET_x``.
+    """
+    sensors, commands, moves = {}, [], []
+    for tag in (chr(ord("A") + i) for i in range(m)):
         for var in ("HOME", "END"):
             sensors[f"{var}_{tag}_ON"] = (f"{var}_{tag}", True)
             sensors[f"{var}_{tag}_OFF"] = (f"{var}_{tag}", False)
@@ -822,8 +831,7 @@ def independent_cylinders(m: int) -> tuple[FunctionBlock, ControllerFSM]:
                   ("C0", f"HOME_{tag}_OFF", None, "C0"),
                   ("C0", f"END_{tag}_ON", f"RET_{tag}", "C0"),
                   ("C0", f"END_{tag}_OFF", None, "C0")]
-    net = PetriNet(tuple(places), tuple(transitions), tuple(arcs))
-    graph = reachability_graph(net, Marking.of(marked))
+    graph = reachability_graph(*cylinder_net(m))
     fb = build_plant_fb(fsm_from_graph(graph),
                         ActionMap.of(control=tuple(commands), sensors=sensors),
                         {var: False for var, _ in sensors.values()}, name="CYLINDERS")

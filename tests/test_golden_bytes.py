@@ -16,18 +16,20 @@ The cases:
   ``BINi`` sensor events, ACK) with an action map and a controller; its
   block has announcing states, which the fixture's lacks;
 * ``cylinders``: ``export_fb`` and ``emit_closed_loop(...).text`` of
-  ``independent_cylinders(3)``.
+  ``independent_cylinders(3)``, and ``export_dot_graph`` of its three-ring
+  net's reachability graph, whose markings hold several tokens each.
 """
 
 import hashlib
 from pathlib import Path
 
 from plantmine.cli import main
+from plantmine.petri import export_dot_graph, reachability_graph
 from plantmine.smv import emit_closed_loop
 from plantmine.transform import export_fb
 from plantmine.verify import parse_ctl
 
-from helpers import independent_cylinders
+from helpers import cylinder_net, independent_cylinders
 
 PINNED = Path(__file__).parent / "golden" / "artifact_sha256.txt"
 CLI_ARTIFACTS = ("log.csv", "filtered.csv", "log.xes", "net.pnml",
@@ -82,6 +84,8 @@ def _actual_digests(tmp_path: Path) -> dict[str, str]:
     document = emit_closed_loop(fb, controller, (parse_ctl("AG !(HOME_A & END_A)"),))
     digests["cylinders/plant.fb"] = _digest(export_fb(fb).encode())
     digests["cylinders/closed_loop.smv"] = _digest(document.text.encode())
+    dot = export_dot_graph(reachability_graph(*cylinder_net(3)))
+    digests["cylinders/reachability.dot"] = _digest(dot.encode())
     return digests
 
 
