@@ -25,15 +25,27 @@ class Marking:
 
     The constructor sorts the pairs, drops zero counts and rejects a negative
     count or a place named twice, so equal markings compare and hash equal.
+    It computes the hash once; pickling and copying rebuild the marking
+    through the constructor, so the hash is never carried to a process
+    whose string hashes differ.
     """
 
     tokens: tuple[tuple[str, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = dict(self.tokens)
         if len(counts) != len(self.tokens) or any(c < 0 for c in counts.values()):
             raise ValueError(f"marking needs one non-negative count per place: {self.tokens}")
-        object.__setattr__(self, "tokens", tuple(sorted((p, c) for p, c in counts.items() if c)))
+        tokens = tuple(sorted((p, c) for p, c in counts.items() if c))
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "_hash", hash(tokens))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Marking, (self.tokens,)
 
     @classmethod
     def of(cls, counts: Mapping[str, int]) -> "Marking":
@@ -148,6 +160,7 @@ class ReachabilityGraph:
 
     ``nodes`` lists markings in breadth-first discovery order and ``edges``
     in exploration order, which makes downstream state naming deterministic.
+    Equal markings in ``initial``, ``nodes`` and ``edges`` are one object.
     """
 
     nodes: tuple[Marking, ...]
@@ -192,26 +205,37 @@ def reachability_graph(net: PetriNet, initial: Marking,
     unknown = sorted({p for p, _ in initial.tokens} - set(net.places))
     if unknown:
         raise ValueError(f"initial marking names places not in the net: {', '.join(unknown)}")
+    presets = {t: net.preset(t) for t in net.transitions}
+    postsets = {t: net.postset(t) for t in net.transitions}
+    consumers = {p: net.postset(p) for p in net.places}
     # Only a transition that consumes from a marked place, or from no place
     # at all, can be enabled.
-    generators = {t for t in net.transitions if not net.preset(t)}
+    generators = {t for t in net.transitions if not presets[t]}
+    # Each distinct marking is built and checked once; later edges reuse it.
+    interned = {initial.tokens: initial}
 
     def successors(marking: Marking) -> Iterator[tuple[str, Marking]]:
         counts = marking.as_dict()
         candidates = set(generators)
         for p in counts:
-            candidates.update(net.postset(p))
+            candidates.update(consumers[p])
         # net.transitions is sorted, so edges keep its order
         for t in sorted(candidates):
-            inputs = net.preset(t)
-            if not all(counts.get(p, 0) >= 1 for p in inputs):
+            inputs = presets[t]
+            if not all(p in counts for p in inputs):
                 continue
             after = dict(counts)
             for p in inputs:
                 after[p] -= 1
-            for p in net.postset(t):
+                if not after[p]:
+                    del after[p]
+            for p in postsets[t]:
                 after[p] = after.get(p, 0) + 1
-            yield t, Marking.of(after)
+            key = tuple(sorted(after.items()))
+            successor = interned.get(key)
+            if successor is None:
+                successor = interned[key] = Marking(key)
+            yield t, successor
 
     graph = list(explore(initial, successors, bound))
     return ReachabilityGraph(tuple(m for m, _ in graph), initial,

@@ -320,6 +320,8 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
 
     rest = tuple((var, bool(initial_valuation[var])) for var in variables)
     valuations = {fsm.initial: rest}
+    # Equal derived valuations are shared, so FunctionBlock checks each once.
+    shared = {rest: rest}
     for current, out in explore(fsm.initial, outgoing.__getitem__, len(all_states)):
         base = valuations[current]
         for _, dst in out:
@@ -329,6 +331,7 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
             if dst in emission:
                 index, latch = writes[emission[dst]]
                 derived = base[:index] + (latch,) + base[index + 1:]
+                derived = shared.setdefault(derived, derived)
             if valuations.setdefault(dst, derived) != derived:
                 raise InconsistentLabeling(dst)
 
@@ -350,10 +353,13 @@ def export_fb(fb: FunctionBlock) -> str:
              "outputs" + "".join(f" {e}" for e in fb.event_outputs),
              "sensors" + "".join(f" {v}" for v in fb.sensor_vars),
              f"initial {fb.initial_state}"]
+    latch_text: dict[tuple[tuple[str, bool], ...], str] = {}
     for state in fb.states:
-        parts = [f"state {state.name}", f"emit={state.emission or '-'}"]
-        parts += [f"{var}={'true' if val else 'false'}" for var, val in state.valuation]
-        lines.append(" ".join(parts))
+        text = latch_text.get(state.valuation)
+        if text is None:
+            text = latch_text[state.valuation] = "".join(
+                f" {var}={'true' if val else 'false'}" for var, val in state.valuation)
+        lines.append(f"state {state.name} emit={state.emission or '-'}{text}")
     for src, guard, dst in fb.transitions:
         lines.append(f"trans {src} {guard or NDT_GUARD} {dst}")
     return "\n".join(lines) + "\n"
@@ -368,6 +374,7 @@ def parse_fb(text: str) -> FunctionBlock:
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     initial = None
+    sensors: tuple[int, tuple[str, ...]] | None = None
     states: list[EccState] = []
     transitions: list[tuple[str, str | None, str]] = []
     for line_no, raw in enumerate(lines[1:], start=2):
@@ -382,6 +389,8 @@ def parse_fb(text: str) -> FunctionBlock:
             inputs = tuple(fields[1:])
         elif key == "outputs":
             outputs = tuple(fields[1:])
+        elif key == "sensors":
+            sensors = (line_no, tuple(sorted(fields[1:])))
         elif key == "initial" and len(fields) == 2:
             initial = fields[1]
         elif key == "state" and len(fields) >= 3:
@@ -399,16 +408,21 @@ def parse_fb(text: str) -> FunctionBlock:
         elif key == "trans" and len(fields) == 4:
             guard = None if fields[2] == NDT_GUARD else fields[2]
             transitions.append((fields[1], guard, fields[3]))
-        elif key != "sensors":  # the sensors line is derivable from the state lines
+        else:
             raise ParseError(line_no, f"unrecognized line {line!r}")
     if name is None or initial is None:
         raise ParseError(0, "missing name or initial declaration")
     try:
-        return FunctionBlock(name=name, event_inputs=inputs, event_outputs=outputs,
-                             states=tuple(states), initial_state=initial,
-                             transitions=tuple(transitions))
+        fb = FunctionBlock(name=name, event_inputs=inputs, event_outputs=outputs,
+                           states=tuple(states), initial_state=initial,
+                           transitions=tuple(transitions))
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
+    # The sensors line is derivable from the state lines; it must agree.
+    if sensors is not None and sensors[1] != fb.sensor_vars:
+        raise ParseError(sensors[0], f"sensors line names {' '.join(sensors[1]) or '(none)'} "
+                         f"but the states set {' '.join(fb.sensor_vars) or '(none)'}")
+    return fb
 
 
 def export_fb_dot(fb: FunctionBlock) -> str:
