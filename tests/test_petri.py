@@ -1,8 +1,16 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from xml.dom import minidom
 from xml.etree import ElementTree
+
+import plantmine
 
 from plantmine.discovery import alpha_discover, place_id
 from plantmine.errors import (BoundExceeded, MarkingRequired, NoBoundary,
@@ -12,7 +20,7 @@ from plantmine.petri import (Marking, PetriNet, default_initial_marking,
                              export_dot_net, export_pnml, fire,
                              reachability_graph, strip_boundary)
 
-from helpers import (random_conservative_net, random_net,
+from helpers import (cylinder_net, random_conservative_net, random_net,
                      reachability_reference, reachable_markings_oracle)
 
 P_AB = place_id({"a"}, {"b"})
@@ -51,6 +59,26 @@ class TestMarking:
             graph = reachability_graph(net, initial)
             assert graph.nodes == (Marking.of({"a": 1, "b": 1}),)
             assert [t for _, t, _ in graph.edges] == ["t", "u"]
+
+    def test_copies_are_found_by_value(self):
+        m = Marking.of({"a": 1, "b": 2})
+        assert copy.deepcopy(m) in {m}
+        assert copy.copy(m) in {m}
+        assert pickle.loads(pickle.dumps(m)) in {m}
+
+    def test_unpickled_marking_hashes_by_this_process(self):
+        # string hashes differ between processes, so a cached hash must not travel
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = ("import pickle, sys; from plantmine.petri import Marking; "
+                "sys.stdout.buffer.write(pickle.dumps(Marking.of({'p1': 1, 'p2': 2})))")
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(plantmine.__file__).parents[1])}
+        dumped = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, check=True).stdout
+        loaded, fresh = pickle.loads(dumped), Marking.of({"p1": 1, "p2": 2})
+        assert loaded == fresh
+        assert hash(loaded) == hash(fresh)
+        assert loaded in {fresh}
 
     def test_lookup(self):
         m = Marking.of({"a": 2})
@@ -147,6 +175,26 @@ class TestReachability:
         assert len(graph.edges) == 6
         assert graph.initial == Marking.of({"source": 1})
         assert Marking.of({"sink": 1}) in graph.nodes
+
+    def test_each_distinct_marking_is_built_once(self, monkeypatch):
+        net, initial = cylinder_net(3)
+        calls = []
+        check = Marking.__post_init__
+
+        def counting(marking):
+            calls.append(marking)
+            check(marking)
+
+        monkeypatch.setattr(Marking, "__post_init__", counting)
+        graph = reachability_graph(net, initial)
+        assert len(graph.nodes) == 216
+        assert len(calls) == len(graph.nodes) - 1  # the initial marking is the caller's
+
+    def test_equal_markings_are_one_object(self):
+        graph = reachability_graph(*cylinder_net(3))
+        node = {m: m for m in graph.nodes}
+        assert graph.initial is graph.nodes[0]
+        assert all(src is node[src] and dst is node[dst] for src, _, dst in graph.edges)
 
     def test_bound_exceeded(self, diamond_net):
         with pytest.raises(BoundExceeded) as exc:

@@ -9,7 +9,8 @@ from plantmine.transform import (FSM, ActionKind, EccState, FunctionBlock, build
                                  fsm_from_graph,
                                  parse_action_map, parse_fb)
 
-from helpers import build_plant_fb_reference, ecc_words, fsm_words, random_plant_fsm
+from helpers import (build_plant_fb_reference, ecc_words, fsm_words, independent_cylinders,
+                     random_plant_fsm)
 
 
 class TestActionMap:
@@ -86,6 +87,12 @@ class TestBuildPlantFb:
         assert ("Q1", None, "Q2") in fb.transitions
         assert fb.emission("Q2") == "END_ON"
         assert dict(fb.state("Q2").valuation) == {"HOME": True, "END": True}
+
+    def test_equal_valuations_are_one_object(self):
+        # FunctionBlock checks each valuation object once, so equal ones are shared
+        fb, _ = independent_cylinders(3)
+        valuations = [state.valuation for state in fb.states]
+        assert len({id(v) for v in valuations}) == len(set(valuations))
 
     def test_conflicting_emissions_insert_intermediates(self):
         # two different sensor events entering the same target: both route
@@ -281,6 +288,25 @@ class TestFbDocument:
             FunctionBlock(name="P", event_inputs=(), event_outputs=(),
                           states=(EccState("Q0", None, (("B", False), ("A", True))),),
                           initial_state="Q0", transitions=())
+
+    @pytest.mark.parametrize("sensors, latches", [
+        ("FOO BAR", "A=true"), ("", "A=true"), ("A", ""), ("A A", "A=true"), ("A B", "A=true"),
+    ], ids=["foreign", "empty", "no-latch", "doubled", "extra"])
+    def test_sensors_line_must_name_the_latches(self, sensors, latches):
+        text = ("plantfb v1\nname P\ninputs\noutputs\n"
+                f"sensors {sensors}\ninitial Q0\nstate Q0 emit=- {latches}\n")
+        with pytest.raises(ParseError, match="sensors") as error:
+            parse_fb(text)
+        assert error.value.position == 5
+
+    @pytest.mark.parametrize("sensors, latches", [
+        ("sensors A B", "A=true B=false"), ("sensors B A", "B=false A=true"), ("sensors", ""),
+        ("", "A=true"),
+    ], ids=["matching", "any-order", "no-latch", "no-line"])
+    def test_sensors_line_agreeing_or_absent(self, sensors, latches):
+        fb = parse_fb(f"plantfb v1\nname P\ninputs\noutputs\n{sensors}\ninitial Q0\n"
+                      f"state Q0 emit=- {latches}\n")
+        assert fb.sensor_vars == tuple(sorted(var.split("=")[0] for var in latches.split()))
 
     def test_dot_variant_renders(self, fixture_fb):
         dot = export_fb_dot(fixture_fb)
