@@ -25,9 +25,8 @@ class Marking:
 
     The constructor sorts the pairs, drops zero counts and rejects a negative
     count or a place named twice, so equal markings compare and hash equal.
-    It computes the hash once; pickling and copying rebuild the marking
-    through the constructor, so the hash is never carried to a process
-    whose string hashes differ.
+    The hash is computed once; pickling and copying go through the constructor,
+    so no cached hash reaches a process that hashes strings differently.
     """
 
     tokens: tuple[tuple[str, int], ...] = ()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InconsistentLabeling, ParseError, UnmappedAction
 from .eventlog import NAME_RE
@@ -156,9 +156,11 @@ def classify_alphabet(fsm: FSM, amap: ActionMap) -> tuple[frozenset[str], frozen
     return frozenset(control), frozenset(sensor)
 
 
-@dataclass(frozen=True)
-class EccState:
-    """One execution-control state: optional output-event emission plus latch values."""
+class EccState(NamedTuple):
+    """One execution-control state: optional output-event emission plus latch values.
+
+    A named tuple: a block builds one per state, far cheaper than a dataclass.
+    """
 
     name: str
     emission: str | None
@@ -418,7 +420,6 @@ def parse_fb(text: str) -> FunctionBlock:
                            transitions=tuple(transitions))
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
-    # The sensors line is derivable from the state lines; it must agree.
     if sensors is not None and sensors[1] != fb.sensor_vars:
         raise ParseError(sensors[0], f"sensors line names {' '.join(sensors[1]) or '(none)'} "
                          f"but the states set {' '.join(fb.sensor_vars) or '(none)'}")
