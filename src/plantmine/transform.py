@@ -159,7 +159,7 @@ def classify_alphabet(fsm: FSM, amap: ActionMap) -> tuple[frozenset[str], frozen
 class EccState(NamedTuple):
     """One execution-control state: optional output-event emission plus latch values.
 
-    A named tuple: a block builds one per state, far cheaper than a dataclass.
+    A named tuple, since a block builds one per state and tuples are cheap.
     """
 
     name: str
@@ -368,7 +368,7 @@ def export_fb(fb: FunctionBlock) -> str:
 
 
 def parse_fb(text: str) -> FunctionBlock:
-    """Parse the ``plantfb v1`` format back into a function block."""
+    """Parse the ``plantfb v1`` format; a ``sensors`` line must name the states' latches."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "plantfb v1":
         raise ParseError(1, "expected header 'plantfb v1'")
