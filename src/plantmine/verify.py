@@ -5,9 +5,10 @@ finite Kripke structure under pending-event semantics: at most one event is
 in flight, the plant moves spontaneously only while no event is pending, and
 a pending event is consumed by its addressee before anything else happens.
 CTL properties are then checked by worklist labeling in the manner of Clarke,
-Emerson and Sistla (TOPLAS 1986): predecessor lists are built once with the
-structure, EX is a union over predecessors, EU/EF a backward breadth-first
-search and EG a successor-count worklist, so each operator costs O(|S|+|R|).
+Emerson and Sistla (TOPLAS 1986) on byte-vector state sets: predecessor lists
+of state indexes are built once with the structure, EX is a union over
+predecessors, EU/EF a backward breadth-first search and EG a successor-count
+worklist, so each operator costs O(|S|+|R|).
 The breadth-first walk :func:`plantmine.petri.explore` builds the product and
 finds each failing AG property's shortest counterexample path.  One renderer
 prints formulas both for the report (:func:`render_ctl`) and, with NuSMV's
@@ -17,9 +18,12 @@ spelling and atoms, for the ``CTLSPEC`` lines of :mod:`plantmine.smv`.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Mapping, NamedTuple
+from itertools import chain, compress, repeat
+from operator import contains
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (AlphabetMismatch, NondeterministicController, ParseError,
                      UndeclaredEvent, UnknownAtom)
@@ -157,7 +161,8 @@ class KripkeStructure:
     """Total transition system with propositional labels.
 
     ``successors`` maps each state to its outgoing (edge label, target)
-    pairs in a fixed order; every state has at least one successor.
+    pairs in a fixed order; every state has at least one successor.  A state
+    with no ``labels`` entry carries no labels.
     """
 
     states: tuple
@@ -166,24 +171,30 @@ class KripkeStructure:
     labels: Mapping
     atoms: frozenset[str]
     diagnostics: tuple[Diagnostic, ...] = ()
-    # one entry per edge, so a source with two edges into a state appears twice
-    _predecessors: dict[object, list] = field(init=False, repr=False, compare=False)
+    # by state index; one predecessor entry per edge, so parallel edges repeat
+    _predecessors: list[list[int]] = field(init=False, repr=False, compare=False)
+    _label_list: list[frozenset] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        predecessors: dict[object, list] = {state: [] for state in self.states}
-        if self.initial not in predecessors:
+        index = {state: i for i, state in enumerate(self.states)}
+        if len(index) != len(self.states):
+            raise ValueError("duplicate states")
+        if self.initial not in index:
             raise ValueError("initial state missing from state set")
-        for state in self.states:
+        predecessors: list[list[int]] = [[] for _ in self.states]
+        label_list = [self.labels.get(state, frozenset()) for state in self.states]
+        for i, (state, labels) in enumerate(zip(self.states, label_list)):
             succs = self.successors.get(state, ())
             if not succs:
                 raise ValueError(f"state {state!r} has no successor")
             for _, target in succs:
-                if target not in predecessors:
+                if target not in index:
                     raise ValueError(f"successor of {state!r} outside the state set")
-                predecessors[target].append(state)
-            if not self.labels.get(state, frozenset()) <= self.atoms:
+                predecessors[index[target]].append(i)
+            if not labels <= self.atoms:
                 raise ValueError(f"labels of {state!r} not declared as atoms")
         object.__setattr__(self, "_predecessors", predecessors)
+        object.__setattr__(self, "_label_list", label_list)
 
 
 def compose(plant: FunctionBlock, ctl: ControllerFSM,
@@ -564,76 +575,86 @@ def satisfying_states(k: KripkeStructure, formula: Formula,
     breadth-first layer at a time, and EG drops, layer by layer, the states
     of ``hold`` whose count of successors inside ``hold`` reaches zero.
 
+    Every set on the way is an ``int`` with one byte, 0 or 1, per state in
+    ``k.states`` order, little-endian.  Bytes, not bits, make an atom and the
+    frozenset result single C-level passes, at |S| bytes per set; ``!``,
+    ``&``, ``|`` and ``->`` are one integer operation.
+
     When ``stats`` is given, every EU/EG evaluation appends its number of
     rounds to ``stats['rounds']``: the non-empty layers it added (EU, not
     counting the goal itself) or removed (EG).  A round is one step of the
     textbook fixpoint iteration that changes the set, so the counts are
     those of iterating ``pre()`` to the fixpoint.
     """
-    all_states = frozenset(k.states)
+    n = len(k.states)
+    ones = int.from_bytes(b"\x01" * n, "little")
     predecessors = k._predecessors
 
-    def pre(target: frozenset) -> frozenset:
-        return frozenset(s for t in target for s in predecessors[t])
+    def members(x: int) -> Iterator[int]:
+        return compress(range(n), x.to_bytes(n, "little"))
+
+    def sources(targets: Iterable[int]) -> Iterator[int]:
+        return chain.from_iterable(map(predecessors.__getitem__, targets))  # one per edge
+
+    def pre(x: int) -> int:
+        found = set(sources(members(x)))
+        return int.from_bytes(bytes(map(found.__contains__, range(n))), "little")
 
     def note_rounds(rounds: int) -> None:
         if stats is not None:
             stats.setdefault("rounds", []).append(rounds)
 
-    def sat_eu(hold: frozenset, goal: frozenset) -> frozenset:
-        reached = set(goal)
-        layer = list(goal)
+    def sat_eu(hold: int, goal: int) -> int:
+        seen = bytearray(((ones ^ hold) | goal).to_bytes(n, "little"))  # outside hold: never added
+        layer = list(members(goal))
         rounds = 0
-        while True:
+        while layer:
             grown = []
-            for t in layer:
-                for s in predecessors[t]:
-                    if s in hold and s not in reached:
-                        reached.add(s)
-                        grown.append(s)
-            if not grown:
-                break
+            for s in sources(layer):
+                if not seen[s]:
+                    seen[s] = 1
+                    grown.append(s)
+            rounds += bool(grown)
             layer = grown
-            rounds += 1
         note_rounds(rounds)
-        return frozenset(reached)
+        return int.from_bytes(seen, "little") & (hold | goal)
 
-    def sat_eg(hold: frozenset) -> frozenset:
-        alive = {s: sum(t in hold for _, t in k.successors[s]) for s in hold}
-        layer = [s for s, count in alive.items() if not count]
-        for s in layer:
-            del alive[s]
+    def sat_eg(hold: int) -> int:
+        count = Counter(sources(members(hold)))  # successors inside hold, one per edge
+        alive = bytearray(hold.to_bytes(n, "little"))
+        layer = [s for s in members(hold) if not count[s]]
         rounds = 0
         while layer:
             rounds += 1
+            for s in layer:
+                alive[s] = 0
             dropped = []
-            for t in layer:
-                for s in predecessors[t]:
-                    if s in alive:
-                        alive[s] -= 1
-                        if not alive[s]:
-                            del alive[s]
-                            dropped.append(s)
+            for s in sources(layer):
+                if alive[s]:
+                    count[s] -= 1
+                    if not count[s]:
+                        dropped.append(s)
             layer = dropped
         note_rounds(rounds)
-        return frozenset(alive)
+        return int.from_bytes(alive, "little")
 
-    def sat(f: Formula) -> frozenset:
+    def sat(f: Formula) -> int:
         match f:
             case Const(value):
-                return all_states if value else frozenset()
+                return ones if value else 0
             case Atom(name):
                 if name not in k.atoms:
                     raise UnknownAtom(name)
-                return frozenset(s for s in k.states if name in k.labels[s])
+                return int.from_bytes(bytes(map(contains, k._label_list, repeat(name))),
+                                      "little")
             case Not(operand):
-                return all_states - sat(operand)
+                return ones ^ sat(operand)
             case And(left, right):
                 return sat(left) & sat(right)
             case Or(left, right):
                 return sat(left) | sat(right)
             case Implies(left, right):
-                return (all_states - sat(left)) | sat(right)
+                return (ones ^ sat(left)) | sat(right)
             case EX(operand):
                 return pre(sat(operand))
             case EU(left, right):
@@ -641,21 +662,20 @@ def satisfying_states(k: KripkeStructure, formula: Formula,
             case EG(operand):
                 return sat_eg(sat(operand))
             case EF(operand):
-                return sat_eu(all_states, sat(operand))
+                return sat_eu(ones, sat(operand))
             case AX(operand):
-                return all_states - pre(all_states - sat(operand))
+                return ones ^ pre(ones ^ sat(operand))
             case AF(operand):
-                return all_states - sat_eg(all_states - sat(operand))
+                return ones ^ sat_eg(ones ^ sat(operand))
             case AG(operand):
-                return all_states - sat_eu(all_states, all_states - sat(operand))
+                return ones ^ sat_eu(ones, ones ^ sat(operand))
             case AU(left, right):
-                not_right = all_states - sat(right)
-                not_left = all_states - sat(left)
-                bad = sat_eu(not_right, not_left & not_right) | sat_eg(not_right)
-                return all_states - bad
+                not_right = ones ^ sat(right)
+                not_left = ones ^ sat(left)
+                return ones ^ (sat_eu(not_right, not_left & not_right) | sat_eg(not_right))
         raise TypeError(f"not a formula: {f!r}")
 
-    return sat(formula)
+    return frozenset(compress(k.states, sat(formula).to_bytes(n, "little")))
 
 
 def _shortest_violation(k: KripkeStructure, good: frozenset) -> tuple[PathStep, ...] | None:

@@ -240,7 +240,7 @@ def ctl_oracle(k: KripkeStructure, formula: Formula) -> set:
     succs = {s: [t for _, t in k.successors[s]] for s in states}
 
     def holds(name: str, s) -> bool:
-        return name in k.labels[s]
+        return name in k.labels.get(s, frozenset())
 
     def sat(f: Formula) -> set:
         match f:
@@ -387,7 +387,7 @@ def satisfying_states_reference(k: KripkeStructure, formula: Formula,
             case Atom(name):
                 if name not in k.atoms:
                     raise UnknownAtom(name)
-                return frozenset(s for s in k.states if name in k.labels[s])
+                return frozenset(s for s in k.states if name in k.labels.get(s, frozenset()))
             case Not(operand):
                 return all_states - sat(operand)
             case And(left, right):
@@ -795,6 +795,27 @@ def ecc_words(fb: FunctionBlock, depth: int) -> set[tuple]:
 # ---------------------------------------------------------------------------
 # Concurrent plants built as nets
 
+def _cylinder_tags(m: int) -> list[str]:
+    return [chr(ord("A") + i) for i in range(m)]
+
+
+def _cylinder_cycle(tag: str) -> list[str]:
+    """The fixture cylinder's cycle of actions, for cylinder ``tag``."""
+    return [f"EXT_{tag}", f"HOME_{tag}_OFF", f"END_{tag}_ON",
+            f"RET_{tag}", f"END_{tag}_OFF", f"HOME_{tag}_ON"]
+
+
+def _cylinder_signals(tags: list[str]) -> tuple[dict[str, tuple[str, bool]], list[str]]:
+    """Sensor actions ``HOME_x_ON`` ... ``END_x_OFF`` with their latch effects, and commands."""
+    sensors, commands = {}, []
+    for tag in tags:
+        for var in ("HOME", "END"):
+            sensors[f"{var}_{tag}_ON"] = (f"{var}_{tag}", True)
+            sensors[f"{var}_{tag}_OFF"] = (f"{var}_{tag}", False)
+        commands += [f"EXT_{tag}", f"RET_{tag}"]
+    return sensors, commands
+
+
 def cylinder_net(m: int) -> tuple[PetriNet, Marking]:
     """The marked net of :func:`independent_cylinders`: one ring per cylinder.
 
@@ -803,9 +824,8 @@ def cylinder_net(m: int) -> tuple[PetriNet, Marking]:
     The rings share nothing, so the net reaches 6^m markings.
     """
     places, transitions, arcs, marked = [], [], [], {}
-    for tag in (chr(ord("A") + i) for i in range(m)):
-        cycle = [f"EXT_{tag}", f"HOME_{tag}_OFF", f"END_{tag}_ON",
-                 f"RET_{tag}", f"END_{tag}_OFF", f"HOME_{tag}_ON"]
+    for tag in _cylinder_tags(m):
+        cycle = _cylinder_cycle(tag)
         for i, action in enumerate(cycle):
             places.append(f"{tag}{i}")
             arcs += [(action, f"{tag}{i}"), (f"{tag}{i}", cycle[(i + 1) % len(cycle)])]
@@ -821,12 +841,10 @@ def independent_cylinders(m: int) -> tuple[FunctionBlock, ControllerFSM]:
     controller consumes every sensor event and answers ``HOME_x_ON`` with
     ``EXT_x`` and ``END_x_ON`` with ``RET_x``.
     """
-    sensors, commands, moves = {}, [], []
-    for tag in (chr(ord("A") + i) for i in range(m)):
-        for var in ("HOME", "END"):
-            sensors[f"{var}_{tag}_ON"] = (f"{var}_{tag}", True)
-            sensors[f"{var}_{tag}_OFF"] = (f"{var}_{tag}", False)
-        commands += [f"EXT_{tag}", f"RET_{tag}"]
+    tags = _cylinder_tags(m)
+    sensors, commands = _cylinder_signals(tags)
+    moves = []
+    for tag in tags:
         moves += [("C0", f"HOME_{tag}_ON", f"EXT_{tag}", "C0"),
                   ("C0", f"HOME_{tag}_OFF", None, "C0"),
                   ("C0", f"END_{tag}_ON", f"RET_{tag}", "C0"),
@@ -836,6 +854,42 @@ def independent_cylinders(m: int) -> tuple[FunctionBlock, ControllerFSM]:
                         ActionMap.of(control=tuple(commands), sensors=sensors),
                         {var: False for var, _ in sensors.values()}, name="CYLINDERS")
     controller = ControllerFSM(states=("C0",), initial="C0", inputs=tuple(sensors),
+                               outputs=tuple(commands), transitions=tuple(moves))
+    return fb, controller
+
+
+def transfer_line(k: int) -> tuple[FunctionBlock, ControllerFSM]:
+    """k fixture cylinders ``A``, ``B``, ... on one ring, each extending after its predecessor is home.
+
+    The net is a single cycle through every cylinder's fixture actions in
+    turn, with one place after each action, marked after the last cylinder's
+    ``HOME_ON`` with every HOME latch set.  The controller has four states
+    per cylinder: it extends a cylinder once its predecessor (the last, for
+    ``A``) reports HOME, and retracts it on its END.  Every cylinder keeps
+    HOME and END exclusive, ``A`` can always return home, and the last
+    cylinder does extend, so ``AG !END_last`` fails down the whole line.
+    """
+    tags = _cylinder_tags(k)
+    ring = [action for tag in tags for action in _cylinder_cycle(tag)]
+    places = [f"p{i}" for i in range(len(ring))]
+    arcs = [arc for i, action in enumerate(ring)
+            for arc in ((action, places[i]), (places[i], ring[(i + 1) % len(ring)]))]
+    sensors, commands = _cylinder_signals(tags)
+    states, moves = [], []
+    for i, tag in enumerate(tags):
+        own = [f"C_{tag}_{j}" for j in range(4)]
+        states += own
+        moves += [(own[0], f"HOME_{tags[i - 1]}_ON", f"EXT_{tag}", own[1]),
+                  (own[1], f"HOME_{tag}_OFF", None, own[2]),
+                  (own[2], f"END_{tag}_ON", f"RET_{tag}", own[3]),
+                  (own[3], f"END_{tag}_OFF", None, f"C_{tags[(i + 1) % k]}_0")]
+    graph = reachability_graph(PetriNet(tuple(places), tuple(ring), tuple(arcs)),
+                               Marking.of({places[-1]: 1}))
+    fb = build_plant_fb(fsm_from_graph(graph),
+                        ActionMap.of(control=tuple(commands), sensors=sensors),
+                        {var: var.startswith("HOME_") for var, _ in sensors.values()},
+                        name="LINE")
+    controller = ControllerFSM(states=tuple(states), initial=states[0], inputs=tuple(sensors),
                                outputs=tuple(commands), transitions=tuple(moves))
     return fb, controller
 

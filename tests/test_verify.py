@@ -9,15 +9,16 @@ from plantmine.errors import (AlphabetMismatch, BoundExceeded,
 from plantmine.fixture import (FIXTURE_CONTROLLER_TEXT, INITIAL_VALUATION,
                                fixture_action_map, fixture_controller)
 from plantmine.transform import FSM, build_plant_fb
-from plantmine.verify import (AG, AU, EF, EU, MAX_CTL_DEPTH, And, Atom,
-                              CompositeState, ControllerFSM, Implies, KripkeStructure,
-                              Not, Or,
+from plantmine.verify import (AG, AU, AX, EF, EU, EX, MAX_CTL_DEPTH, And, Atom,
+                              CompositeState, Const, ControllerFSM, Implies,
+                              KripkeStructure, Not, Or,
                               PathStep, check_ctl, compose, parse_controller,
                               parse_ctl, render_ctl, satisfying_states)
 
 from helpers import (ctl_oracle, random_controller, random_formula,
                      random_kripke, random_multi_kripke, random_plant_fsm,
-                     render_ctl_reference, satisfying_states_reference)
+                     render_ctl_reference, satisfying_states_reference,
+                     transfer_line)
 
 
 class TestParseController:
@@ -213,6 +214,23 @@ def single_state_structure():
                            atoms=frozenset({"p", "q"}))
 
 
+class TestKripkeStructure:
+    def test_state_without_labels_entry_has_no_labels(self):
+        k = KripkeStructure(states=("a", "b"), initial="a",
+                            successors={"a": (("go", "b"),), "b": (("stay", "b"),)},
+                            labels={"a": frozenset({"p"})}, atoms=frozenset({"p"}))
+        assert satisfying_states(k, parse_ctl("!p")) == {"b"}
+        verdict = check_ctl(k, parse_ctl("AG p"))
+        assert not verdict.holds
+        assert verdict.counterexample == (PathStep(None, "a"), PathStep("go", "b"))
+
+    def test_duplicate_state_rejected(self):
+        with pytest.raises(ValueError, match="duplicate states"):
+            KripkeStructure(states=("a", "a"), initial="a",
+                            successors={"a": (("stay", "a"),)},
+                            labels={}, atoms=frozenset())
+
+
 class TestCheckCtl:
     def test_fixture_sensor_exclusion_holds(self, fixture_kripke):
         verdict = check_ctl(fixture_kripke, parse_ctl("AG !(HOME & END)"))
@@ -319,6 +337,58 @@ class TestOracleAgreement:
                 satisfying_states(k, parse_ctl("!EX !p"))
 
 
+def mixed_state(rng: random.Random, i: int):
+    """State ``i`` as an int, a string, a pair or a composite state: all distinct."""
+    return rng.choice((i, f"s{i}", (i, "t"),
+                       CompositeState(f"P{i}", f"C{i % 3}", rng.choice((None, "EV")))))
+
+
+def wide_chain(rng: random.Random, atoms: tuple[str, ...], width: int):
+    """``width`` literals (atoms, negated atoms, rarely TRUE/FALSE) joined by random
+    ``&``/``|``/``->`` in a random bracketing, with some subterms negated."""
+    def literal():
+        if rng.random() < 0.05:
+            return Const(rng.random() < 0.5)
+        atom = Atom(rng.choice(atoms))
+        return Not(atom) if rng.random() < 0.3 else atom
+
+    parts = [literal() for _ in range(width)]
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        joined = rng.choice((And, Or, Implies))(parts[i], parts[i + 1])
+        parts[i:i + 2] = [Not(joined) if rng.random() < 0.1 else joined]
+    return parts[0]
+
+
+class TestWideFormulas:
+    def test_agree_with_reference_and_oracle(self):
+        # byte vectors longer than a machine word, states of every hashable
+        # shape, and states without a labels entry
+        rng = random.Random(97)
+        atoms = tuple(f"a{i}" for i in range(24))
+        for _ in range(40):
+            n = rng.randint(1, 150)
+            states = tuple(mixed_state(rng, i) for i in range(n))
+            successors = {s: tuple((f"e{j}", t) for j, t in
+                                   enumerate(rng.choices(states, k=rng.randint(1, 3))))
+                          for s in states}
+            labels = {s: frozenset(a for a in atoms if rng.random() < 0.4) for s in states}
+            labels = {s: value for s, value in labels.items() if value or rng.random() < 0.5}
+            k = KripkeStructure(states=states, initial=states[0], successors=successors,
+                                labels=labels, atoms=frozenset(atoms))
+            width = rng.randint(50, 200)
+            left = wide_chain(rng, atoms, width // 2)
+            right = wide_chain(rng, atoms, width - width // 2)
+            formula = rng.choice((EX(And(left, right)), AX(Or(left, right)),
+                                  EU(left, right), AU(left, right)))
+            stats, reference_stats = {}, {}
+            got = satisfying_states(k, formula, stats)
+            assert type(got) is frozenset
+            assert got == satisfying_states_reference(k, formula, reference_stats)
+            assert got == frozenset(ctl_oracle(k, formula))
+            assert stats == reference_stats
+
+
 class CountingSuccessors(Mapping):
     """A successor map that counts its lookups."""
 
@@ -368,6 +438,22 @@ class TestWorklistLabeling:
             assert successors.lookups <= 2 * (n + edges), text
         assert len(verdict.counterexample) == n
 
+    def test_labeling_reads_no_successors(self):
+        # the predecessor lists built with the structure are the only
+        # adjacency labeling reads; only the AG witness search walks successors
+        rng = random.Random(83)
+        for _ in range(30):
+            drawn = random_multi_kripke(rng)
+            successors = CountingSuccessors(dict(drawn.successors))
+            k = KripkeStructure(states=drawn.states, initial=drawn.initial,
+                                successors=successors, labels=drawn.labels,
+                                atoms=drawn.atoms)
+            successors.lookups = 0
+            for text in ("EX p", "AX p", "EF p", "EG p", "AF p", "E[p U q]", "A[p U q]"):
+                check_ctl(k, parse_ctl(text))
+                satisfying_states(k, parse_ctl(f"AG {text}"))
+            assert successors.lookups == 0
+
     def test_witness_search_stops_at_first_violation(self):
         n, depth = 3000, 5
         states = tuple(range(n))
@@ -408,3 +494,24 @@ class TestClosedLoopWithRandomPlants:
             fb = build_plant_fb(fsm, amap, initial)
             moving += len(compose(fb, random_controller(rng, fb)).states) > 1
         assert moving >= 180
+
+
+class TestTransferLine:
+    @pytest.mark.parametrize("cylinders", range(3, 9))
+    def test_verdicts_and_witness(self, cylinders):
+        loop = compose(*transfer_line(cylinders))
+        tags = [chr(ord("A") + i) for i in range(cylinders)]
+        last = f"END_{tags[-1]}"
+        specs = {"AG (" + " & ".join(f"!(HOME_{t} & END_{t})" for t in tags) + ")": True,
+                 "AG EF HOME_A": True,
+                 f"AG !{last}": False}
+        for text, holds in specs.items():
+            formula = parse_ctl(text)
+            verdict = check_ctl(loop, formula)
+            assert verdict.holds is holds is (loop.initial in ctl_oracle(loop, formula)), text
+        path = verdict.counterexample
+        assert path[0] == (None, loop.initial)
+        for before, after in zip(path, path[1:]):
+            assert (after.event, after.state) in loop.successors[before.state]
+        assert [last in loop.labels[step.state] for step in path] == \
+            [False] * (len(path) - 1) + [True]
