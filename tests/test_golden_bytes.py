@@ -11,16 +11,21 @@ The cases:
 
 * ``fixture`` and ``fixture-mutated``: ``pipeline --fixture --seed 42
   --traces 20``, clean and with ``--mutate drop_sensor_off``; every artifact
-  but ``report.txt``, whose stage lines carry elapsed times;
+  but the clean run's ``report.txt``.  ``report.txt`` is pinned where a spec
+  fails, so its counterexample's ``labels=`` column is covered, with each
+  stage line's ``elapsed <n>s`` masked;
 * ``sorter``: a CLI run on a small sorter log (GO, one of three exclusive
   ``BINi`` sensor events, ACK) with an action map and a controller; its
   block has announcing states, which the fixture's lacks;
 * ``cylinders``: ``export_fb`` and ``emit_closed_loop(...).text`` of
   ``independent_cylinders(3)``, and ``export_dot_graph`` of its three-ring
-  net's reachability graph, whose markings hold several tokens each.
+  net's reachability graph, whose markings hold several tokens each;
+* ``line``: ``export_fb`` and ``emit_closed_loop(...).text`` of
+  ``transfer_line(3)``, whose HOME latches are set in the initial state.
 """
 
 import hashlib
+import re
 from pathlib import Path
 
 from plantmine.cli import main
@@ -29,13 +34,13 @@ from plantmine.smv import emit_closed_loop
 from plantmine.transform import export_fb
 from plantmine.verify import parse_ctl
 
-from helpers import cylinder_net, independent_cylinders
+from helpers import cylinder_net, independent_cylinders, transfer_line
 
 PINNED = Path(__file__).parent / "golden" / "artifact_sha256.txt"
 CLI_ARTIFACTS = ("log.csv", "filtered.csv", "log.xes", "net.pnml",
                  "reachability.dot", "plant.fb", "closed_loop.smv")
 SORTER_ARTIFACTS = ("filtered.csv", "log.xes", "net.pnml", "reachability.dot",
-                    "plant.fb", "closed_loop.smv")
+                    "plant.fb", "closed_loop.smv", "report.txt")
 BINS = ("BIN1", "BIN2", "BIN3")
 
 
@@ -72,13 +77,17 @@ def _actual_digests(tmp_path: Path) -> dict[str, str]:
     digests: dict[str, str] = {}
     runs = {"fixture": (["--fixture", "--seed", "42", "--traces", "20"], CLI_ARTIFACTS, 0),
             "fixture-mutated": (["--fixture", "--seed", "42", "--traces", "20",
-                                 "--mutate", "drop_sensor_off"], CLI_ARTIFACTS, 1),
+                                 "--mutate", "drop_sensor_off"],
+                                (*CLI_ARTIFACTS, "report.txt"), 1),
             "sorter": (_sorter_inputs(tmp_path), SORTER_ARTIFACTS, 1)}
     for case, (argv, artifacts, expected_code) in runs.items():
         out = tmp_path / case
         assert main(["pipeline", *argv, "--out", str(out)]) == expected_code, case
         for name in artifacts:
-            digests[f"{case}/{name}"] = _digest((out / name).read_bytes())
+            data = (out / name).read_bytes()
+            if name == "report.txt":
+                data = re.sub(rb"elapsed [0-9.]+s", b"elapsed <n>s", data)
+            digests[f"{case}/{name}"] = _digest(data)
     assert "__BIN" in (tmp_path / "sorter" / "plant.fb").read_text()  # announcing states
     fb, controller = independent_cylinders(3)
     document = emit_closed_loop(fb, controller, (parse_ctl("AG !(HOME_A & END_A)"),))
@@ -86,6 +95,11 @@ def _actual_digests(tmp_path: Path) -> dict[str, str]:
     digests["cylinders/closed_loop.smv"] = _digest(document.text.encode())
     dot = export_dot_graph(reachability_graph(*cylinder_net(3)))
     digests["cylinders/reachability.dot"] = _digest(dot.encode())
+    fb, controller = transfer_line(3)
+    document = emit_closed_loop(fb, controller, (parse_ctl("AG !(HOME_A & END_A)"),
+                                                 parse_ctl("AG !END_C")))
+    digests["line/plant.fb"] = _digest(export_fb(fb).encode())
+    digests["line/closed_loop.smv"] = _digest(document.text.encode())
     return digests
 
 
