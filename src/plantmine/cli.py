@@ -304,8 +304,7 @@ def _render_report(stage_lines: list[str], formulas, verdicts, structure, fb,
             lines.append(f"  counterexample ({len(verdict.counterexample)} states):")
             for index, step in enumerate(verdict.counterexample):
                 state = step.state
-                valuation = fb.state(state.plant).valuation
-                labels = ",".join(var for var, value in valuation if value) or "-"
+                labels = ",".join(sorted(fb.state(state.plant).valuation)) or "-"
                 via = f" [{step.event}]" if step.event else ""
                 lines.append(f"    {index}:{via} {state} labels={labels}")
     if structure.diagnostics:

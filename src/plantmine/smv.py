@@ -38,7 +38,6 @@ CONTROLLER_MODULE = "CONTROLLER"
 @dataclass(frozen=True)
 class SmvDocument:
     text: str
-    module_names: tuple[str, ...]
 
 
 def _check_name(name: str, role: str) -> None:
@@ -91,9 +90,8 @@ def emit_plant_module(fb: FunctionBlock) -> str:
 
     true_in: dict[str, list[str]] = {var: [] for var in fb.sensor_vars}
     for state in fb.states:
-        for var, value in state.valuation:
-            if value:
-                true_in[var].append(state.name)
+        for var in state.valuation:
+            true_in[var].append(state.name)
     if true_in:  # DEFINE with no entries is invalid SMV
         lines.append("DEFINE")
     for var, names in true_in.items():
@@ -199,4 +197,4 @@ def emit_closed_loop(fb: FunctionBlock, ctl: ControllerFSM,
     text = plant_text + "\n" + ctl_text + "\n" + "\n".join(lines) + "\n"
     for spec in specs:
         text += f"CTLSPEC {render_smv_formula(spec, fb, ctl)}\n"
-    return SmvDocument(text=text, module_names=(fb.name, CONTROLLER_MODULE, "main"))
+    return SmvDocument(text=text)

@@ -159,12 +159,14 @@ def classify_alphabet(fsm: FSM, amap: ActionMap) -> tuple[frozenset[str], frozen
 class EccState(NamedTuple):
     """One execution-control state: optional output-event emission plus latch values.
 
-    A named tuple, since a block builds one per state and tuples are cheap.
+    ``valuation`` is the set of the block's latches that hold in this state;
+    every other latch of ``FunctionBlock.sensor_vars`` is false.  A named
+    tuple, since a block builds one per state and tuples are cheap.
     """
 
     name: str
     emission: str | None
-    valuation: tuple[tuple[str, bool], ...]
+    valuation: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -172,19 +174,21 @@ class FunctionBlock:
     """Plant-model basic function block: event interface plus execution control chart.
 
     Transitions are (source, guard, target) with guard ``None`` for
-    spontaneous (non-deterministic) transitions.  The constructor sorts every
-    collection (states by name) and drops repeats, so equal blocks serialize
-    to identical bytes; it rejects the event ``NDT``, a state named twice and
-    any name outside ``A-Z a-z 0-9 _``.
+    spontaneous (non-deterministic) transitions.  ``sensor_vars`` declares
+    the block's latches; each state's valuation holds a subset of them.  The
+    constructor sorts every collection (states by name) and drops repeats, so
+    equal blocks serialize to identical bytes; it rejects the event ``NDT``,
+    a state named twice, a state holding an undeclared latch and any name
+    outside ``A-Z a-z 0-9 _``.
     """
 
     name: str
     event_inputs: tuple[str, ...]
     event_outputs: tuple[str, ...]
+    sensor_vars: tuple[str, ...]
     states: tuple[EccState, ...]
     initial_state: str
     transitions: tuple[tuple[str, str | None, str], ...]
-    sensor_vars: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, EccState] = field(init=False, repr=False, compare=False)
     _targets: dict[tuple[str, str | None], tuple[str, ...]] = field(
         init=False, repr=False, compare=False)
@@ -192,6 +196,7 @@ class FunctionBlock:
     def __post_init__(self) -> None:
         object.__setattr__(self, "event_inputs", tuple(sorted(set(self.event_inputs))))
         object.__setattr__(self, "event_outputs", tuple(sorted(set(self.event_outputs))))
+        object.__setattr__(self, "sensor_vars", tuple(sorted(set(self.sensor_vars))))
         by_name = {s.name: s for s in self.states}
         if len(by_name) != len(self.states):
             raise ValueError("duplicate EC state names")
@@ -204,25 +209,19 @@ class FunctionBlock:
             raise ValueError("event inputs and outputs overlap")
         if self.initial_state not in by_name:
             raise ValueError(f"initial state {self.initial_state!r} missing")
-        # Every state sets each latch once, in sorted order, so valuations
-        # line up slot by slot.  build_plant_fb shares one valuation tuple
-        # among many states, so each distinct tuple is checked once.
-        latches = sorted({var for var, _ in by_name[self.initial_state].valuation})
         events = self.event_inputs + self.event_outputs
-        for name in (self.name, *by_name, *events, *latches):
+        for name in (self.name, *by_name, *events, *self.sensor_vars):
             if not NAME_RE.match(name):
                 raise ValueError(f"invalid name {name!r}")
         if NDT_GUARD in events:
             raise ValueError(f"event name {NDT_GUARD!r} is reserved for spontaneous transitions")
-        checked: set[int] = set()
+        # build_plant_fb shares equal valuations, so the set holds few members.
+        undeclared = set().union(*{s.valuation for s in self.states}) - set(self.sensor_vars)
+        if undeclared:
+            raise ValueError(f"states hold undeclared latches {' '.join(sorted(undeclared))}")
         for state in self.states:
             if state.emission is not None and state.emission not in self.event_outputs:
                 raise ValueError(f"state {state.name!r} emits unknown event")
-            if id(state.valuation) not in checked:
-                if [var for var, _ in state.valuation] != latches:
-                    raise ValueError(f"state {state.name!r} does not set each of the latches "
-                                     f"{' '.join(latches) or '(none)'} once, in order")
-                checked.add(id(state.valuation))
         # Transitions are sorted, so each target tuple is sorted too.
         targets: dict[tuple[str, str | None], list[str]] = {}
         for src, guard, dst in transitions:
@@ -234,7 +233,6 @@ class FunctionBlock:
                 if by_name[dst].emission is not None:
                     raise ValueError(f"input-guarded transition targets emitting state {dst!r}")
             targets.setdefault((src, guard), []).append(dst)
-        object.__setattr__(self, "sensor_vars", tuple(latches))
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_targets", {key: tuple(dsts) for key, dsts in targets.items()})
 
@@ -267,23 +265,17 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
 
     Latch valuations propagate from the initial state: entering an announcing
     state applies that sensor's effect, every other entry leaves the latches
-    unchanged.  The initial state's valuation is fixed by
-    ``initial_valuation`` (the plant's rest position) and is not re-derived
-    on re-entry; any other state reached with two different valuations raises
-    :class:`InconsistentLabeling`.
+    unchanged.  The block declares the latches of ``initial_valuation`` and
+    each state's valuation is the set of them that hold.  The initial state's
+    valuation is fixed by ``initial_valuation`` (the plant's rest position)
+    and is not re-derived on re-entry; any other state reached with two
+    different valuations raises :class:`InconsistentLabeling`.
     """
     control, sensor = classify_alphabet(fsm, amap)
-    # Valuations are tuples aligned with the sorted variables: entering an
-    # announcing state rewrites the one slot its sensor sets, any other entry
-    # shares the source's tuple.
-    variables = sorted(initial_valuation)
-    slot = {var: i for i, var in enumerate(variables)}
-    writes: dict[str, tuple[int, tuple[str, bool]]] = {}
-    for action in sorted(sensor):
-        var, value = amap.effect(action)
-        if var not in slot:
+    effects = {action: amap.effect(action) for action in sorted(sensor)}
+    for var, _ in effects.values():
+        if var not in initial_valuation:
             raise ValueError(f"initial valuation missing sensor variable {var!r}")
-        writes[action] = (slot[var], (var, bool(value)))
 
     control_targets = {dst for _, label, dst in fsm.edges if label in control}
     incoming_sensor_labels: dict[str, set[str]] = {}
@@ -320,9 +312,9 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
     for src, guard, dst in transitions:
         outgoing[src].append((guard, dst))
 
-    rest = tuple((var, bool(initial_valuation[var])) for var in variables)
+    rest = frozenset(var for var, value in initial_valuation.items() if value)
     valuations = {fsm.initial: rest}
-    # Equal derived valuations are shared, so FunctionBlock checks each once.
+    # Equal derived valuations are shared, so each is hashed once.
     shared = {rest: rest}
     for current, out in explore(fsm.initial, outgoing.__getitem__, len(all_states)):
         base = valuations[current]
@@ -331,8 +323,8 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
                 continue
             derived = base
             if dst in emission:
-                index, latch = writes[emission[dst]]
-                derived = base[:index] + (latch,) + base[index + 1:]
+                var, value = effects[emission[dst]]
+                derived = base | {var} if value else base - {var}
                 derived = shared.setdefault(derived, derived)
             if valuations.setdefault(dst, derived) != derived:
                 raise InconsistentLabeling(dst)
@@ -342,6 +334,7 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
     return FunctionBlock(name=name,
                          event_inputs=tuple(control),
                          event_outputs=tuple(sensor),
+                         sensor_vars=tuple(initial_valuation),
                          states=states,
                          initial_state=fsm.initial,
                          transitions=tuple(transitions))
@@ -355,12 +348,12 @@ def export_fb(fb: FunctionBlock) -> str:
              "outputs" + "".join(f" {e}" for e in fb.event_outputs),
              "sensors" + "".join(f" {v}" for v in fb.sensor_vars),
              f"initial {fb.initial_state}"]
-    latch_text: dict[tuple[tuple[str, bool], ...], str] = {}
+    latch_text: dict[frozenset[str], str] = {}
     for state in fb.states:
         text = latch_text.get(state.valuation)
         if text is None:
             text = latch_text[state.valuation] = "".join(
-                f" {var}={'true' if val else 'false'}" for var, val in state.valuation)
+                f" {v}={'true' if v in state.valuation else 'false'}" for v in fb.sensor_vars)
         lines.append(f"state {state.name} emit={state.emission or '-'}{text}")
     for src, guard, dst in fb.transitions:
         lines.append(f"trans {src} {guard or NDT_GUARD} {dst}")
@@ -368,62 +361,70 @@ def export_fb(fb: FunctionBlock) -> str:
 
 
 def parse_fb(text: str) -> FunctionBlock:
-    """Parse the ``plantfb v1`` format; a ``sensors`` line must name the states' latches."""
+    """Parse the ``plantfb v1`` format.
+
+    Each declaration (``name``, ``inputs``, ``outputs``, ``sensors``,
+    ``initial``) appears at most once.  The ``sensors`` line declares the
+    latches, or, when it is absent, the first state line's latches are the
+    block's; every state line sets each latch once.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "plantfb v1":
         raise ParseError(1, "expected header 'plantfb v1'")
-    name = None
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
-    initial = None
-    sensors: tuple[int, tuple[str, ...]] | None = None
-    states: list[EccState] = []
+    declared: dict[str, list[str]] = {}
+    sensors_line = 0
+    states: list[tuple[int, str, str | None, list[tuple[str, bool]]]] = []
     transitions: list[tuple[str, str | None, str]] = []
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        key = fields[0]
-        if key == "name" and len(fields) == 2:
-            name = fields[1]
-        elif key == "inputs":
-            inputs = tuple(fields[1:])
-        elif key == "outputs":
-            outputs = tuple(fields[1:])
-        elif key == "sensors":
-            sensors = (line_no, tuple(sorted(fields[1:])))
-        elif key == "initial" and len(fields) == 2:
-            initial = fields[1]
-        elif key == "state" and len(fields) >= 3:
-            if not fields[2].startswith("emit="):
+        key, *args = line.split()
+        if key in ("inputs", "outputs", "sensors") or (
+                key in ("name", "initial") and len(args) == 1):
+            if key in declared:
+                raise ParseError(line_no, f"second {key!r} declaration")
+            declared[key] = args
+            if key == "sensors":
+                sensors_line = line_no
+        elif key == "state" and len(args) >= 2:
+            if not args[1].startswith("emit="):
                 raise ParseError(line_no, "state line missing emit=")
-            emit = fields[2][len("emit="):]
-            valuation = []
-            for item in fields[3:]:
+            emit = args[1][len("emit="):]
+            latches = []
+            for item in args[2:]:
                 var, _, value = item.partition("=")
                 if value not in ("true", "false"):
                     raise ParseError(line_no, f"bad latch value {item!r}")
-                valuation.append((var, value == "true"))
-            states.append(EccState(fields[1], None if emit == "-" else emit,
-                                   tuple(sorted(valuation))))
-        elif key == "trans" and len(fields) == 4:
-            guard = None if fields[2] == NDT_GUARD else fields[2]
-            transitions.append((fields[1], guard, fields[3]))
+                latches.append((var, value == "true"))
+            states.append((line_no, args[0], None if emit == "-" else emit, latches))
+        elif key == "trans" and len(args) == 3:
+            guard = None if args[1] == NDT_GUARD else args[1]
+            transitions.append((args[0], guard, args[2]))
         else:
             raise ParseError(line_no, f"unrecognized line {line!r}")
-    if name is None or initial is None:
+    if "name" not in declared or "initial" not in declared:
         raise ParseError(0, "missing name or initial declaration")
+    sensors = declared.get("sensors", {var for var, _ in states[0][3]} if states else ())
+    sensor_set = set(sensors)
+    if len(sensor_set) != len(sensors):
+        raise ParseError(sensors_line, "sensors line names a latch twice")
+    for line_no, name, _, latches in states:
+        if len(latches) != len(sensor_set) or {var for var, _ in latches} != sensor_set:
+            raise ParseError(sensors_line or line_no, f"state {name} does not set each of the "
+                             f"sensors' latches {' '.join(sorted(sensor_set)) or '(none)'} once")
     try:
-        fb = FunctionBlock(name=name, event_inputs=inputs, event_outputs=outputs,
-                           states=tuple(states), initial_state=initial,
-                           transitions=tuple(transitions))
+        return FunctionBlock(
+            name=declared["name"][0],
+            event_inputs=tuple(declared.get("inputs", ())),
+            event_outputs=tuple(declared.get("outputs", ())),
+            sensor_vars=tuple(sensors),
+            states=tuple(EccState(name, emit, frozenset(var for var, value in latches if value))
+                         for _, name, emit, latches in states),
+            initial_state=declared["initial"][0],
+            transitions=tuple(transitions))
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
-    if sensors is not None and sensors[1] != fb.sensor_vars:
-        raise ParseError(sensors[0], f"sensors line names {' '.join(sensors[1]) or '(none)'} "
-                         f"but the states set {' '.join(fb.sensor_vars) or '(none)'}")
-    return fb
 
 
 def export_fb_dot(fb: FunctionBlock) -> str:

@@ -94,9 +94,9 @@ _TRANSITION_RE = re.compile(
 def parse_controller(text: str) -> ControllerFSM:
     """Parse the controller text format.
 
-    Declarations first (``states:``, ``initial:``, ``inputs:``, ``outputs:``),
-    then one transition per line, ``C0 --HOME_ON/EXT--> C1`` with the output
-    event optional (``C1 --HOME_OFF/--> C2``).
+    Declarations first (``states:``, ``initial:``, ``inputs:``, ``outputs:``,
+    each once), then one transition per line, ``C0 --HOME_ON/EXT--> C1`` with
+    the output event optional (``C1 --HOME_OFF/--> C2``).
     """
     decls: dict[str, list[str]] = {}
     transitions: list[tuple[str, str, str | None, str]] = []
@@ -106,6 +106,8 @@ def parse_controller(text: str) -> ControllerFSM:
             continue
         head, sep, rest = line.partition(":")
         if sep and head in ("states", "initial", "inputs", "outputs"):
+            if head in decls:
+                raise ParseError(line_no, f"second {head!r} declaration")
             decls[head] = rest.split()
             continue
         m = _TRANSITION_RE.match(line)
@@ -226,8 +228,8 @@ def compose(plant: FunctionBlock, ctl: ControllerFSM,
     atoms.update(f"ctl_state={c}" for c in ctl.states)
 
     def labels_of(state: CompositeState) -> frozenset[str]:
-        return frozenset({var for var, value in plant.state(state.plant).valuation if value}
-                         | {f"plant_state={state.plant}", f"ctl_state={state.ctl}"})
+        return plant.state(state.plant).valuation | {f"plant_state={state.plant}",
+                                                     f"ctl_state={state.ctl}"}
 
     def successors_of(state: CompositeState) -> tuple[tuple[str, CompositeState], ...]:
         p, c, pending = state

@@ -668,7 +668,9 @@ def build_plant_fb_reference(fsm: FSM, amap: ActionMap,
     """The plant-model transformation with dict-based latch propagation.
 
     Kept to pin the block, the ``plantfb`` bytes and the state named by
-    :class:`InconsistentLabeling` of the tuple-slot propagation.
+    :class:`InconsistentLabeling` of the set propagation.  Only its result
+    is converted to the block's form: each valuation becomes the set of the
+    latches that hold.
     """
     control, sensor = classify_alphabet(fsm, amap)
     variables = sorted(initial_valuation)
@@ -733,11 +735,13 @@ def build_plant_fb_reference(fsm: FSM, amap: ActionMap,
                 raise InconsistentLabeling(dst)
 
     rest = _canon_valuation_reference(initial_valuation)
-    states = tuple(EccState(s, emission.get(s), valuations.get(s, rest))
+    states = tuple(EccState(s, emission.get(s),
+                            frozenset(var for var, value in valuations.get(s, rest) if value))
                    for s in all_states)
     return FunctionBlock(name=name,
                          event_inputs=tuple(sorted(control)),
                          event_outputs=tuple(sorted(sensor)),
+                         sensor_vars=tuple(variables),
                          states=states,
                          initial_state=fsm.initial,
                          transitions=tuple(transitions))

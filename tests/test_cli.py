@@ -92,6 +92,16 @@ class TestPipeline:
         assert lenient == 0
         assert strict == 1
 
+    @pytest.mark.parametrize("line", ["states: C0", "initial: C1", "inputs: HOME_ON",
+                                      "outputs: EXT"])
+    def test_repeated_controller_declaration_exits_two(self, tmp_path, capsys, line):
+        controller = tmp_path / "twice.ctl"
+        controller.write_text(FIXTURE_CONTROLLER_TEXT.replace("C0 --", f"{line}\nC0 --", 1))
+        code = run("pipeline", "--fixture", "--traces", "5",
+                   "--controller", str(controller), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "parse error at 5: second" in capsys.readouterr().err
+
     def test_requires_log_or_fixture(self, tmp_path):
         assert run("pipeline", "--out", str(tmp_path)) == 2
 

@@ -28,8 +28,8 @@ def check_block(fb):
     for state in fb.states:
         assert fb.state(state.name) == [s for s in fb.states if s.name == state.name][0]
         assert fb.emission(state.name) == state.emission
-    assert fb.sensor_vars == tuple(sorted(
-        {var for state in fb.states for var, _ in state.valuation}))
+    assert fb.sensor_vars == tuple(sorted(set(fb.sensor_vars)))
+    assert set().union(*(state.valuation for state in fb.states)) <= set(fb.sensor_vars)
     with pytest.raises(KeyError):
         fb.state(UNKNOWN)
     for source in [s.name for s in fb.states] + [UNKNOWN]:
@@ -135,10 +135,10 @@ def test_constructors_make_the_canonical_form():
 
 
 def test_repeats_rejected_where_not_dropped():
-    state = EccState("Q0", None, ())
+    state = EccState("Q0", None, frozenset())
     builds = [lambda: Marking((("a", 1), ("a", 1))),
               lambda: ActionMap.of(control=("EXT", "EXT")),
-              lambda: FunctionBlock(name="P", event_inputs=(), event_outputs=(),
+              lambda: FunctionBlock(name="P", event_inputs=(), event_outputs=(), sensor_vars=(),
                                     states=(state, state), initial_state="Q0", transitions=()),
               lambda: ControllerFSM(states=("C0", "C0"), initial="C0", inputs=(), outputs=(),
                                     transitions=())]

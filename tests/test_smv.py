@@ -103,10 +103,9 @@ class TestClosedLoop:
 
     def test_module_names_unique_with_single_main(self, fixture_fb):
         document = emit_closed_loop(fixture_fb, fixture_controller(), (SAFETY,))
-        assert document.module_names == ("HC_PLANT", "CONTROLLER", "main")
-        assert document.text.count("MODULE main") == 1
-        for name in document.module_names:
-            assert document.text.count(f"MODULE {name}") == 1
+        headers = [line for line in document.text.splitlines() if line.startswith("MODULE ")]
+        assert headers == ["MODULE HC_PLANT(pending)", "MODULE CONTROLLER(pending)",
+                           "MODULE main"]
 
     def test_clean_text(self, fixture_fb):
         document = emit_closed_loop(fixture_fb, fixture_controller(), (SAFETY,))

@@ -86,10 +86,10 @@ class TestBuildPlantFb:
         assert ("Q0", "EXT", "Q1") in fb.transitions
         assert ("Q1", None, "Q2") in fb.transitions
         assert fb.emission("Q2") == "END_ON"
-        assert dict(fb.state("Q2").valuation) == {"HOME": True, "END": True}
+        assert fb.state("Q2").valuation == {"HOME", "END"}
 
     def test_equal_valuations_are_one_object(self):
-        # FunctionBlock checks each valuation object once, so equal ones are shared
+        # build_plant_fb shares equal valuations, so each is hashed once
         fb, _ = independent_cylinders(3)
         valuations = [state.valuation for state in fb.states]
         assert len({id(v) for v in valuations}) == len(set(valuations))
@@ -151,7 +151,7 @@ class TestBuildPlantFb:
         fsm = FSM(states=("Q0", "Q1"), initial="Q0",
                   edges=(("Q0", "END_ON", "Q1"), ("Q1", "HOME_ON", "Q0")))
         fb = build_plant_fb(fsm, fixture_action_map(), INITIAL_VALUATION)
-        assert dict(fb.state("Q0").valuation) == INITIAL_VALUATION
+        assert fb.state("Q0").valuation == {"HOME"}
 
     def test_missing_sensor_variable_rejected(self):
         fsm = FSM(states=("Q0", "Q1"), initial="Q0",
@@ -215,13 +215,13 @@ def _add_unreachable(rng, fsm, amap):
 
 class TestReferencePropagation:
     def test_matches_dict_propagation(self):
-        # the tuple-slot propagation against the dict-based one it replaced:
+        # the set propagation against the dict-based one:
         # equal blocks and plantfb bytes, or the same InconsistentLabeling
         rng = random.Random(71)
         outcomes = {"plain": [0, 0], "flipped": [0, 0], "unreachable": [0, 0]}
         for _ in range(120):
             fsm, amap, initial = random_plant_fsm(rng)
-            # an unwritten latch on either side of V0, V1 shifts the slots
+            # a latch that no sensor writes, sorting before or after V0, V1
             extra = {rng.choice(("A", "Z")): rng.random() < 0.5}
             for kind, variant, valuation in (
                     ("plain", fsm, initial),
@@ -283,11 +283,27 @@ class TestFbDocument:
         fb = parse_fb("plantfb v1\nname P\ninputs\noutputs\ninitial Q0\n"
                       "state Q0 emit=- B=false A=true\nstate Q1 emit=- A=false B=true\n")
         assert fb.sensor_vars == ("A", "B")
-        assert fb.state("Q0").valuation == (("A", True), ("B", False))
-        with pytest.raises(ValueError, match="latches"):
-            FunctionBlock(name="P", event_inputs=(), event_outputs=(),
-                          states=(EccState("Q0", None, (("B", False), ("A", True))),),
+        assert fb.state("Q0").valuation == {"A"}
+        assert "state Q0 emit=- A=true B=false\n" in export_fb(fb)
+
+    def test_state_holding_an_undeclared_latch_rejected(self):
+        with pytest.raises(ValueError, match="undeclared latches B"):
+            FunctionBlock(name="P", event_inputs=(), event_outputs=(), sensor_vars=("A",),
+                          states=(EccState("Q0", None, frozenset({"A", "B"})),),
                           initial_state="Q0", transitions=())
+
+    def test_latch_false_everywhere_is_kept(self):
+        # the wide-plant shape: no latch starts set
+        fb, _ = independent_cylinders(2)
+        assert fb.state(fb.initial_state).valuation == frozenset()
+        assert fb.sensor_vars == ("END_A", "END_B", "HOME_A", "HOME_B")
+        fsm = FSM(states=("Q0", "Q1"), initial="Q0", edges=(("Q0", "EXT", "Q1"),))
+        fb = build_plant_fb(fsm, fixture_action_map(), {"HOME": False, "END": False})
+        assert fb.sensor_vars == ("END", "HOME")
+        assert all(state.valuation == frozenset() for state in fb.states)
+        text = export_fb(fb)
+        assert "sensors END HOME\n" in text and "state Q1 emit=- END=false HOME=false\n" in text
+        assert parse_fb(text) == fb
 
     @pytest.mark.parametrize("sensors, latches", [
         ("FOO BAR", "A=true"), ("", "A=true"), ("A", ""), ("A A", "A=true"), ("A B", "A=true"),
@@ -307,6 +323,14 @@ class TestFbDocument:
         fb = parse_fb(f"plantfb v1\nname P\ninputs\noutputs\n{sensors}\ninitial Q0\n"
                       f"state Q0 emit=- {latches}\n")
         assert fb.sensor_vars == tuple(sorted(var.split("=")[0] for var in latches.split()))
+
+    @pytest.mark.parametrize("line", ["name Q", "inputs", "outputs X", "sensors", "initial Q0"])
+    def test_repeated_declaration_rejected(self, line):
+        text = ("plantfb v1\nname P\ninputs\noutputs\nsensors B\ninitial Q0\n"
+                f"{line}\nstate Q0 emit=- B=true\n")
+        with pytest.raises(ParseError, match="second") as error:
+            parse_fb(text)
+        assert error.value.position == 7
 
     def test_dot_variant_renders(self, fixture_fb):
         dot = export_fb_dot(fixture_fb)
@@ -335,15 +359,16 @@ class TestNames:
     def test_ndt_input_rejected(self):
         # exported as "trans Q0 NDT Q1", it would read back as a spontaneous move
         with pytest.raises(ValueError, match="NDT"):
-            FunctionBlock(name="P", event_inputs=("NDT",), event_outputs=(),
-                          states=(EccState("Q0", None, ()), EccState("Q1", None, ())),
+            FunctionBlock(name="P", event_inputs=("NDT",), event_outputs=(), sensor_vars=(),
+                          states=(EccState("Q0", None, frozenset()),
+                                  EccState("Q1", None, frozenset())),
                           initial_state="Q0", transitions=(("Q0", "NDT", "Q1"),))
 
     def test_state_named_twice_rejected(self):
-        state = EccState("Q0", None, ())
+        state = EccState("Q0", None, frozenset())
         with pytest.raises(ValueError, match="duplicate"):
-            FunctionBlock(name="P", event_inputs=(), event_outputs=(), states=(state, state),
-                          initial_state="Q0", transitions=())
+            FunctionBlock(name="P", event_inputs=(), event_outputs=(), sensor_vars=(),
+                          states=(state, state), initial_state="Q0", transitions=())
 
     def test_every_accepted_block_round_trips(self):
         rng = random.Random(1107)
@@ -359,12 +384,14 @@ class TestNames:
             states = list(dict.fromkeys(names(rng.randint(1, 4))))
             latches = sorted(set(names(rng.randint(0, 2))))
             ecc = tuple(EccState(s, rng.choice([None, *outputs]),
-                                 tuple((v, rng.random() < 0.5) for v in latches)) for s in states)
+                                 frozenset(v for v in latches if rng.random() < 0.5))
+                        for s in states)
             transitions = tuple((rng.choice(states), rng.choice([None, *inputs]), rng.choice(states))
                                 for _ in range(rng.randint(0, 4)))
             try:
                 fb = FunctionBlock(name=names(1)[0], event_inputs=tuple(inputs),
-                                   event_outputs=tuple(outputs), states=ecc,
+                                   event_outputs=tuple(outputs), sensor_vars=tuple(latches),
+                                   states=ecc,
                                    initial_state=states[0], transitions=transitions)
             except ValueError:
                 continue

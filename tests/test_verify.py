@@ -49,6 +49,13 @@ class TestParseController:
         with pytest.raises(ParseError):
             parse_controller("states: C0\ninitial: C0\ninputs: X\n")
 
+    @pytest.mark.parametrize("line", ["states: C0", "initial: C1", "inputs: S", "outputs:"])
+    def test_repeated_declaration_rejected(self, line):
+        text = f"states: C0 C1\ninitial: C0\ninputs: S\noutputs: G\n{line}\nC0 --S/G--> C1\n"
+        with pytest.raises(ParseError, match="second") as error:
+            parse_controller(text)
+        assert error.value.position == 5
+
     def test_garbage_line_reports_number(self):
         with pytest.raises(ParseError) as exc:
             parse_controller("states: C0\n???\n")
@@ -92,6 +99,23 @@ class TestCompose:
         labels = fixture_kripke.labels[fixture_kripke.initial]
         assert "HOME" in labels and "END" not in labels
         assert "plant_state=Q0" in labels and "ctl_state=C0" in labels
+
+    def test_labels_are_the_valuation_and_both_states(self):
+        fb, ctl = transfer_line(3)
+        loops = [(fb, ctl)]
+        k = compose(fb, ctl)
+        assert k.labels[k.initial] == {"HOME_A", "HOME_B", "HOME_C",
+                                       f"plant_state={fb.initial_state}", "ctl_state=C_A_0"}
+        rng = random.Random(29)
+        for _ in range(20):
+            fsm, amap, initial = random_plant_fsm(rng, max_states=8)
+            plant = build_plant_fb(fsm, amap, initial)
+            loops.append((plant, random_controller(rng, plant)))
+        for plant, controller in loops:
+            k = compose(plant, controller)
+            for state in k.states:
+                assert k.labels[state] == plant.state(state.plant).valuation | {
+                    f"plant_state={state.plant}", f"ctl_state={state.ctl}"}
 
     def test_ignored_event_diagnostic(self, fixture_fb):
         # a controller that never listens for HOME_OFF
