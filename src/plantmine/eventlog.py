@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 from xml.sax.saxutils import quoteattr
 
 from .errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
@@ -82,19 +82,6 @@ class Event(NamedTuple):
 
 
 @dataclass(frozen=True)
-class EventLog:
-    """An ordered sequence of events, preserving file order."""
-
-    events: tuple[Event, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
-
-@dataclass(frozen=True)
 class Trace:
     """The action sequence of one process scenario, ordered by timestamp.
 
@@ -128,15 +115,15 @@ class TraceSet:
         return len(self.traces)
 
 
-def parse_csv(text: str) -> EventLog:
-    """Parse CSV text into an :class:`EventLog`.
+def parse_csv(text: str) -> tuple[Event, ...]:
+    """Parse CSV text into its events, in file order.
 
     The header row is mandatory and validated by name.  Fields may not contain
     commas (there is no quoting layer); a row with the wrong column count
     raises :class:`MalformedRow` with its 1-based line number.  Each distinct
     component or action name is checked against :data:`NAME_RE` once, on the
     first row that carries it.  A timestamp already in canonical form is kept
-    as its own text; any other is formatted once.
+    as its own text and read as written; any other is formatted once.
     """
     lines = text.splitlines()
     if not lines:
@@ -175,7 +162,7 @@ def parse_csv(text: str) -> EventLog:
             raise MalformedRow(line_no, f"invalid action {action!r}")
         try:
             if _is_canonical(stamp_text):
-                stamp = datetime.fromisoformat(stamp_text[:-1] + "+00:00")
+                stamp = datetime.fromisoformat(stamp_text)
                 canonical = stamp_text
             else:
                 stamp = parse_timestamp(stamp_text)
@@ -183,32 +170,33 @@ def parse_csv(text: str) -> EventLog:
         except ValueError:
             raise BadTimestamp(line_no, stamp_text) from None
         events.append(Event(process_id, stamp, component, action, canonical))
-    return EventLog(tuple(events))
+    return tuple(events)
 
 
-def export_csv(log: EventLog) -> str:
-    """Render an event log back to the CSV schema (LF endings, trailing newline)."""
+def export_csv(log: tuple[Event, ...]) -> str:
+    """Render events back to the CSV schema (LF endings, trailing newline)."""
     lines = [",".join(CSV_HEADER)]
     lines += [f"{e.process_id},{e.timestamp_text},{e.component},{e.action}" for e in log]
     return "\n".join(lines) + "\n"
 
 
-def filter_component(log: EventLog, component: str) -> EventLog:
-    """Keep exactly the events of one component, preserving order."""
-    return EventLog(tuple(e for e in log if e.component == component))
+def filter_component(log: tuple[Event, ...], component: str) -> tuple[Event, ...]:
+    """The events of one component, in their order in ``log``."""
+    return tuple(e for e in log if e.component == component)
 
 
 _BY_TIME = itemgetter(1)  # Event.timestamp
 
 
-def group_traces(log: EventLog) -> TraceSet:
-    """Group a log into one trace per process id.
+def group_traces(log: tuple[Event, ...]) -> TraceSet:
+    """Group a tuple of events into one trace per process id.
 
     Within a trace, actions are ordered by timestamp; events with equal
     timestamps keep their original file order (stable sort).  Traces appear in
-    order of first occurrence of their process id.
+    order of first occurrence of their process id.  An empty log raises
+    :class:`EmptyLog`.
     """
-    if not log.events:
+    if not log:
         raise EmptyLog()
     grouped: dict[str, list[Event]] = {}
     for event in log:

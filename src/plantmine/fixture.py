@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 from .errors import MarkingRequired
-from .eventlog import Event, EventLog, format_timestamp
+from .eventlog import Event, format_timestamp
 from .petri import Marking, PetriNet
 from .transform import ActionMap
 from .verify import ControllerFSM, parse_controller
@@ -56,8 +56,8 @@ class SimConfig:
             raise ValueError(f"unknown mutations: {sorted(unknown)}")
 
 
-def simulate_two_cylinder(cfg: SimConfig, seed: int) -> EventLog:
-    """Generate an event log of the horizontal cylinder.
+def simulate_two_cylinder(cfg: SimConfig, seed: int) -> tuple[Event, ...]:
+    """Generate the events of a horizontal-cylinder log, in log order.
 
     Trace i (process id ``str(i+1)``) repeats the six-action cycle a seeded
     number of times within the configured range.  Timestamps advance by one
@@ -77,7 +77,7 @@ def simulate_two_cylinder(cfg: SimConfig, seed: int) -> EventLog:
             events.append(Event(process_id, stamp, COMPONENT, action,
                                 format_timestamp(stamp)))
             step += 1
-    return EventLog(tuple(events))
+    return tuple(events)
 
 
 def fixture_action_map() -> ActionMap:

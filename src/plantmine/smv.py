@@ -29,7 +29,7 @@ _RESERVED = {
     "X", "Y", "Z", "A", "U", "S", "V", "T", "BU", "EBF", "ABF", "EBG", "ABG",
     "case", "esac", "mod", "next", "init", "union", "in", "xor", "xnor",
     "self", "TRUE", "FALSE", "count", "abs", "max", "min",
-    "none", "pending", "state", "plant", "ctl", "main", "out", "accepts",
+    "none", "pending", "state", "plant", "ctl", "main", "out",
 }
 
 CONTROLLER_MODULE = "CONTROLLER"
@@ -159,9 +159,11 @@ def emit_closed_loop(fb: FunctionBlock, ctl: ControllerFSM,
     plant (or silently dropped, mirroring the built-in composition's
     diagnostics).  The wiring tolerance matches the built-in composition: an
     event claimed in the same direction by both sides is rejected, everything
-    else composes.
+    else composes.  A block named like the controller module is rejected.
     """
     _check_wiring(fb, ctl)
+    if fb.name == CONTROLLER_MODULE:
+        raise SmvUnsupported(f"module name {fb.name!r} collides with the controller module")
 
     events = sorted(set(fb.event_inputs) | set(fb.event_outputs)
                     | set(ctl.inputs) | set(ctl.outputs))

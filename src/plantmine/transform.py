@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, NamedTuple
 
 from .errors import InconsistentLabeling, ParseError, UnmappedAction
@@ -23,65 +22,53 @@ from .petri import ReachabilityGraph, _dot_quote, explore
 NDT_GUARD = "NDT"
 
 
-class ActionKind(Enum):
-    CONTROL = "control"
-    SENSOR = "sensor"
-
-
 @dataclass(frozen=True)
 class ActionMap:
     """Classification of actions into control commands and sensor events.
 
-    Sensor actions carry an effect, the (variable, value) latch assignment
-    they perform; control actions carry none.
+    Each entry is ``(action, effect)``: a sensor event's effect is the
+    ``(variable, value)`` latch assignment it performs, and a control
+    command's effect is ``None``.
     """
 
-    entries: tuple[tuple[str, ActionKind, tuple[str, bool] | None], ...]
-    _by_action: dict[str, tuple[ActionKind, tuple[str, bool] | None]] = field(
-        init=False, repr=False, compare=False)
+    entries: tuple[tuple[str, tuple[str, bool] | None], ...]
+    _by_action: dict[str, tuple[str, bool] | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Keyed on the action alone, so a repeated action reaches the check
+        # below without comparing a command's None to an effect.
         object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e[0])))
         by_action = {}
-        for action, kind, effect in self.entries:
+        for action, effect in self.entries:
             if not NAME_RE.match(action) or action == NDT_GUARD:
                 raise ValueError(f"invalid action name {action!r}")
             if action in by_action:
                 raise ValueError(f"action {action!r} classified twice")
-            by_action[action] = (kind, effect)
-            if kind is ActionKind.SENSOR:
-                if effect is None or not NAME_RE.match(effect[0]):
-                    raise ValueError(f"sensor action {action!r} needs a variable effect")
-            elif effect is not None:
-                raise ValueError(f"control action {action!r} cannot carry an effect")
+            if effect is not None and not NAME_RE.match(effect[0]):
+                raise ValueError(f"sensor action {action!r} sets invalid latch {effect[0]!r}")
+            by_action[action] = effect
         object.__setattr__(self, "_by_action", by_action)
 
     @classmethod
     def of(cls, control: tuple[str, ...] = (),
            sensors: Mapping[str, tuple[str, bool]] | None = None) -> "ActionMap":
-        entries = [(a, ActionKind.CONTROL, None) for a in control]
-        entries += [(a, ActionKind.SENSOR, (var, bool(val)))
-                    for a, (var, val) in (sensors or {}).items()]
+        entries = [(a, None) for a in control]
+        entries += [(a, (var, bool(val))) for a, (var, val) in (sensors or {}).items()]
         return cls(tuple(entries))
 
-    def kind(self, action: str) -> ActionKind:
+    def effect(self, action: str) -> tuple[str, bool] | None:
+        """The latch assignment of a sensor event, ``None`` for a control command."""
         if action not in self._by_action:
             raise UnmappedAction(action)
-        return self._by_action[action][0]
-
-    def effect(self, action: str) -> tuple[str, bool]:
-        if self.kind(action) is not ActionKind.SENSOR:
-            raise ValueError(f"{action!r} is not a sensor action")
-        return self._by_action[action][1]
+        return self._by_action[action]
 
     @property
     def actions(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self.entries)
+        return tuple(name for name, _ in self.entries)
 
     @property
     def sensor_vars(self) -> tuple[str, ...]:
-        return tuple(sorted({effect[0] for _, kind, effect in self.entries
-                             if kind is ActionKind.SENSOR and effect}))
+        return tuple(sorted({effect[0] for _, effect in self.entries if effect}))
 
 
 def parse_action_map(text: str) -> ActionMap:
@@ -90,7 +77,7 @@ def parse_action_map(text: str) -> ActionMap:
     One entry per line: ``EXT: control`` or ``HOME_ON: sensor HOME=true``.
     Blank lines and ``#`` comments are skipped.
     """
-    entries: list[tuple[str, ActionKind, tuple[str, bool] | None]] = []
+    entries: list[tuple[str, tuple[str, bool] | None]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -100,12 +87,12 @@ def parse_action_map(text: str) -> ActionMap:
         action, _, rest = line.partition(":")
         action, rest = action.strip(), rest.strip()
         if rest == "control":
-            entries.append((action, ActionKind.CONTROL, None))
+            entries.append((action, None))
             continue
         m = re.fullmatch(r"sensor\s+([A-Za-z0-9_]+)\s*=\s*(true|false)", rest)
         if not m:
             raise ParseError(line_no, f"bad classification {rest!r}")
-        entries.append((action, ActionKind.SENSOR, (m.group(1), m.group(2) == "true")))
+        entries.append((action, (m.group(1), m.group(2) == "true")))
     try:
         return ActionMap(tuple(entries))
     except ValueError as exc:
@@ -149,10 +136,7 @@ def classify_alphabet(fsm: FSM, amap: ActionMap) -> tuple[frozenset[str], frozen
     """Split the FSM alphabet into (control actions, sensor actions)."""
     control, sensor = set(), set()
     for action in fsm.alphabet:
-        if amap.kind(action) is ActionKind.CONTROL:
-            control.add(action)
-        else:
-            sensor.add(action)
+        (control if amap.effect(action) is None else sensor).add(action)
     return frozenset(control), frozenset(sensor)
 
 
@@ -277,13 +261,11 @@ def build_plant_fb(fsm: FSM, amap: ActionMap,
         if var not in initial_valuation:
             raise ValueError(f"initial valuation missing sensor variable {var!r}")
 
-    control_targets = {dst for _, label, dst in fsm.edges if label in control}
-    incoming_sensor_labels: dict[str, set[str]] = {}
+    # The sensor events entering each state, None standing for any command.
+    entering: dict[str, set[str | None]] = {}
     for _, label, dst in fsm.edges:
-        if label in sensor:
-            incoming_sensor_labels.setdefault(dst, set()).add(label)
-    hostable = {dst for dst, labels in incoming_sensor_labels.items()
-                if len(labels) == 1 and dst not in control_targets}
+        entering.setdefault(dst, set()).add(None if label in control else label)
+    hostable = {dst for dst, labels in entering.items() if len(labels) == 1 and None not in labels}
 
     emission: dict[str, str] = {}
     taken = set(fsm.states)

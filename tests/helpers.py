@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Mapping
 from xml.sax.saxutils import quoteattr
 
-from plantmine.eventlog import CSV_HEADER, EventLog, Trace, TraceSet
+from plantmine.eventlog import CSV_HEADER, Event, Trace, TraceSet
 from plantmine.errors import BoundExceeded, InconsistentLabeling, UnknownAtom
 from plantmine.petri import (Marking, PetriNet, ReachabilityGraph,
                              enabled_transitions, fire, reachability_graph)
@@ -926,7 +926,7 @@ def format_timestamp_reference(stamp: datetime) -> str:
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def export_csv_reference(log: EventLog) -> str:
+def export_csv_reference(log: tuple[Event, ...]) -> str:
     """Render an event log back to the CSV schema (LF endings, trailing newline)."""
     lines = [",".join(CSV_HEADER)]
     for event in log:

@@ -1,4 +1,4 @@
-"""Each narrative demo runs to completion against the current package."""
+"""Each narrative demo and the README library example run against the current package."""
 
 import os
 import subprocess
@@ -19,3 +19,16 @@ def test_demo_exits_zero(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs():
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_every_public_name_resolves():
+    import plantmine
+    assert len(set(plantmine.__all__)) == len(plantmine.__all__)
+    for name in plantmine.__all__:
+        getattr(plantmine, name)

@@ -10,7 +10,7 @@ from helpers import (export_csv_reference, export_xes_reference,
                      random_stamp)
 from plantmine import eventlog
 from plantmine.errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
-from plantmine.eventlog import (EventLog, TraceSet, export_csv, export_xes,
+from plantmine.eventlog import (Event, TraceSet, export_csv, export_xes,
                                 filter_component, format_timestamp, group_traces,
                                 parse_csv, parse_timestamp)
 
@@ -25,7 +25,7 @@ class TestParseCsv:
     def test_single_row_echoes_fields(self):
         log = parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT"))
         assert len(log) == 1
-        event = log.events[0]
+        event = log[0]
         assert event.process_id == "1"
         assert event.component == "HC"
         assert event.action == "EXT"
@@ -33,6 +33,12 @@ class TestParseCsv:
 
     def test_header_only_is_empty_log(self):
         assert len(parse_csv(HEADER + "\n")) == 0
+
+    def test_returns_a_tuple_of_events(self):
+        log = parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT", "1,2021-05-10T10:00:02Z,VC,GO"))
+        assert type(log) is tuple and all(type(e) is Event for e in log)
+        assert type(filter_component(log, "HC")) is tuple
+        assert parse_csv(HEADER + "\n") == ()
 
     def test_three_columns_is_malformed_row(self):
         with pytest.raises(MalformedRow) as exc:
@@ -119,7 +125,7 @@ STAMP_CASES = [
 def stored_stamp(text):
     """The stamp text and instant ``parse_csv`` keeps for a one-row log, or None if rejected."""
     try:
-        event = parse_csv(make_csv(f"1,{text},HC,EXT")).events[0]
+        event = parse_csv(make_csv(f"1,{text},HC,EXT"))[0]
     except BadTimestamp as exc:
         assert exc.line_no == 2
         return None
@@ -220,6 +226,8 @@ class TestGroupTraces:
     def test_empty_log_raises(self):
         with pytest.raises(EmptyLog):
             group_traces(parse_csv(HEADER + "\n"))
+        with pytest.raises(EmptyLog):
+            group_traces(())
 
     def test_alphabet_is_computed_once(self):
         traces = group_traces(parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT",
@@ -381,8 +389,7 @@ class TestWorkCounters:
         assert calls["format_timestamp"] == 0  # canonical stamps are kept as read
 
         # every timestamp refuses to be formatted while exporting
-        spied = EventLog(tuple(e._replace(timestamp=Unformattable.of(e.timestamp))
-                               for e in log))
+        spied = tuple(e._replace(timestamp=Unformattable.of(e.timestamp)) for e in log)
         assert export_csv(spied) == text
         traces = group_traces(spied)
         assert export_xes(traces) == export_xes_reference(group_traces(log))

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from plantmine.errors import MarkingRequired
-from plantmine.eventlog import export_csv, filter_component, group_traces
+from plantmine.eventlog import Event, export_csv, filter_component, group_traces
 from plantmine.fixture import (CYCLE, MUTATIONS, SimConfig, fixture_action_map,
                                fixture_controller, rest_position_marking,
                                simulate_two_cylinder)
@@ -34,6 +34,10 @@ class TestSimulator:
     def test_different_seeds_differ(self):
         cfg = SimConfig(n_traces=8)
         assert simulate_two_cylinder(cfg, 1) != simulate_two_cylinder(cfg, 2)
+
+    def test_returns_a_tuple_of_events(self):
+        log = simulate_two_cylinder(SimConfig(n_traces=2), 42)
+        assert type(log) is tuple and all(type(e) is Event for e in log)
 
     def test_three_distinct_process_ids(self):
         log = simulate_two_cylinder(SimConfig(n_traces=3), 42)
@@ -72,8 +76,8 @@ class TestFixtureController:
     def test_alphabets_match_action_map(self):
         ctl = fixture_controller()
         amap = fixture_action_map()
-        sensors = {a for a, k, _ in amap.entries if k.value == "sensor"}
-        controls = {a for a, k, _ in amap.entries if k.value == "control"}
+        sensors = {a for a, effect in amap.entries if effect is not None}
+        controls = {a for a, effect in amap.entries if effect is None}
         assert set(ctl.inputs) == sensors
         assert set(ctl.outputs) == controls
 

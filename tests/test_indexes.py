@@ -15,8 +15,8 @@ import pytest
 from plantmine.errors import UnmappedAction
 from plantmine.fixture import fixture_action_map, fixture_controller
 from plantmine.petri import Marking, PetriNet, strip_boundary
-from plantmine.transform import (ActionKind, ActionMap, EccState, FunctionBlock, build_plant_fb,
-                                 export_fb, parse_fb)
+from plantmine.transform import (ActionMap, EccState, FunctionBlock, build_plant_fb, export_fb,
+                                 parse_fb)
 from plantmine.verify import ControllerFSM
 
 from helpers import random_conservative_net, random_controller, random_plant_fsm
@@ -52,16 +52,11 @@ def check_controller(ctl):
 
 
 def check_action_map(amap):
-    for action, kind, effect in amap.entries:
-        assert amap.kind(action) is [k for a, k, _ in amap.entries if a == action][0]
-        if kind is ActionKind.SENSOR:
-            assert amap.effect(action) == [e for a, _, e in amap.entries if a == action][0]
-        else:
-            with pytest.raises(ValueError):
-                amap.effect(action)
-    for lookup in (amap.kind, amap.effect):
-        with pytest.raises(UnmappedAction):
-            lookup(UNKNOWN)
+    for action, effect in amap.entries:
+        assert amap.effect(action) == [e for a, e in amap.entries if a == action][0]
+    assert amap.sensor_vars == tuple(sorted({e[0] for _, e in amap.entries if e is not None}))
+    with pytest.raises(UnmappedAction):
+        amap.effect(UNKNOWN)
 
 
 def check_net(net):

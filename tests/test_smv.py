@@ -82,6 +82,14 @@ class TestPlantModule:
         with pytest.raises(SmvUnsupported, match=f"identifier '{var}'"):
             emit_plant_module(fb)
 
+    def test_latch_named_accepts_is_emitted(self):
+        # "accepts" is no NuSMV keyword and no emitter name
+        fsm = FSM(states=("Q0", "Q1"), initial="Q0", edges=(("Q0", "HOME_ON", "Q1"),))
+        from plantmine.transform import ActionMap
+        amap = ActionMap.of(sensors={"HOME_ON": ("accepts", True)})
+        text = emit_plant_module(build_plant_fb(fsm, amap, {"accepts": False}))
+        assert "  accepts := state in {Q1};" in text
+
 
 class TestControllerModule:
     def test_fixture_controller(self):
@@ -100,6 +108,12 @@ class TestClosedLoop:
     def test_no_specs_no_ctlspec_lines(self, fixture_fb):
         document = emit_closed_loop(fixture_fb, fixture_controller(), ())
         assert "CTLSPEC" not in document.text
+
+    def test_block_named_like_controller_module_rejected(self, fixture_fsm):
+        fb = build_plant_fb(fixture_fsm, fixture_action_map(), INITIAL_VALUATION,
+                            name="CONTROLLER")
+        with pytest.raises(SmvUnsupported, match="'CONTROLLER'"):
+            emit_closed_loop(fb, fixture_controller(), (SAFETY,))
 
     def test_module_names_unique_with_single_main(self, fixture_fb):
         document = emit_closed_loop(fixture_fb, fixture_controller(), (SAFETY,))

@@ -4,7 +4,7 @@ import pytest
 
 from plantmine.errors import InconsistentLabeling, ParseError, UnmappedAction
 from plantmine.fixture import INITIAL_VALUATION, fixture_action_map
-from plantmine.transform import (FSM, ActionKind, EccState, FunctionBlock, build_plant_fb,
+from plantmine.transform import (FSM, ActionMap, EccState, FunctionBlock, build_plant_fb,
                                  classify_alphabet, export_fb, export_fb_dot,
                                  fsm_from_graph,
                                  parse_action_map, parse_fb)
@@ -19,8 +19,17 @@ class TestActionMap:
                 "HOME_ON: sensor HOME=true\n"
                 "HOME_OFF: sensor HOME=false\n")
         amap = parse_action_map(text)
-        assert amap.kind("EXT") is ActionKind.CONTROL
+        assert amap.entries == (("EXT", None), ("HOME_OFF", ("HOME", False)),
+                                ("HOME_ON", ("HOME", True)))
+        assert amap.effect("EXT") is None
         assert amap.effect("HOME_ON") == ("HOME", True)
+
+    def test_of_equals_parsed_fixture_map(self):
+        text = ("EXT: control\nRET: control\n"
+                "HOME_ON: sensor HOME=true\nHOME_OFF: sensor HOME=false\n"
+                "END_ON: sensor END=true\nEND_OFF: sensor END=false\n")
+        assert fixture_action_map() == parse_action_map(text)
+        assert fixture_action_map().sensor_vars == ("END", "HOME")
 
     def test_comments_and_blanks_skipped(self):
         amap = parse_action_map("# commands\n\nEXT: control\n")
@@ -35,10 +44,23 @@ class TestActionMap:
         with pytest.raises(ParseError):
             parse_action_map("EXT: control\nEXT: sensor X=true\n")
 
+    @pytest.mark.parametrize("effects", [(None, ("X", True)), (("X", True), None),
+                                         (("X", True), ("X", False))])
+    def test_action_with_two_effects_rejected(self, effects):
+        with pytest.raises(ValueError, match="classified twice"):
+            ActionMap(tuple(("EXT", effect) for effect in effects))
+        lines = ["control" if e is None else f"sensor X={str(e[1]).lower()}" for e in effects]
+        with pytest.raises(ParseError, match="classified twice"):
+            parse_action_map("".join(f"EXT: {line}\n" for line in lines))
+
+    def test_invalid_latch_name_rejected(self):
+        with pytest.raises(ValueError, match="invalid latch 'HO-ME'"):
+            ActionMap.of(sensors={"HOME_ON": ("HO-ME", True)})
+
     def test_unmapped_action_raises(self):
         amap = fixture_action_map()
         with pytest.raises(UnmappedAction):
-            amap.kind("FOO")
+            amap.effect("FOO")
 
 
 class TestFsmFromGraph:
