@@ -21,7 +21,9 @@ import os
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from . import discovery, eventlog, fixture, petri, smv, transform, verify
 from .errors import PlantMineError
@@ -44,15 +46,34 @@ class UsageError(PlantMineError):
     pass
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+# Pieces are joined in groups of this many before encoding: one encode, digest
+# update and write per group rather than per CSV line, while a group of XES
+# traces stays far smaller than the document.
+_PIECES_PER_WRITE = 64
 
 
-def _atomic_write(path: Path, text: str) -> Path:
+def _atomic_write(path: Path, pieces: Iterable[str], digest=None) -> Path:
+    """Write text pieces to ``path`` as UTF-8 through a temporary file.
+
+    Each piece is encoded once, a group at a time, and its bytes go to the
+    file and, when given, to ``digest``, so no artifact is held whole in
+    memory unless it comes as one piece.  A whole string
+    is one piece: ``[text]``, not ``text``.  If a piece cannot be made or
+    written, the temporary file is removed and ``path`` is left as it was.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    rest = iter(pieces)
+    try:
+        with open(tmp, "wb") as handle:
+            while group := list(islice(rest, _PIECES_PER_WRITE)):
+                data = "".join(group).encode("utf-8")
+                if digest is not None:
+                    digest.update(data)
+                handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -77,13 +98,15 @@ class _Stages:
             data = path.read_bytes()
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from None
-        self.digests[path] = _sha256(data)
+        self.digests[path] = hashlib.sha256(data).hexdigest()
         return data.decode("utf-8-sig")
 
-    def write(self, path: Path, text: str) -> Path:
-        """Write an artifact that a later stage takes as input."""
-        self.digests[path] = _sha256(text.encode("utf-8"))
-        return _atomic_write(path, text)
+    def write(self, path: Path, pieces: Iterable[str]) -> Path:
+        """Write an artifact that a later stage takes as input, digesting it on the way."""
+        digest = hashlib.sha256()
+        _atomic_write(path, pieces, digest)
+        self.digests[path] = digest.hexdigest()
+        return path
 
     def done(self, name: str, inputs: list[Path]) -> bool:
         digests = ", ".join(f"{p.name} sha256={self.digests[p]}" for p in inputs) or "-"
@@ -204,17 +227,17 @@ def _execute(args: argparse.Namespace) -> int:
         if args.command != "simulate" and not args.fixture:
             raise UsageError("either --log or --fixture is required")
         log = fixture.simulate_two_cylinder(_sim_config(args), args.seed)
-        log_path = stages.write(artifact("log"), eventlog.export_csv(log))
+        log_path = stages.write(artifact("log"), eventlog.iter_csv(log))
         if stages.done("simulate", []):
             return 0
 
     # --- mine: filter, group, export, discover ---------------------------
     filtered = eventlog.filter_component(log, args.component)
-    _atomic_write(artifact("filtered"), eventlog.export_csv(filtered))
+    _atomic_write(artifact("filtered"), eventlog.iter_csv(filtered))
     traces = eventlog.group_traces(filtered)
-    _atomic_write(artifact("xes"), eventlog.export_xes(traces))
+    _atomic_write(artifact("xes"), eventlog.iter_xes(traces))
     net = discovery.alpha_discover(traces)
-    pnml_path = stages.write(artifact("pnml"), petri.export_pnml(net))
+    pnml_path = stages.write(artifact("pnml"), [petri.export_pnml(net)])
     log_fitness = discovery.fitness(net, traces)
     print(f"mined net: {len(net.places)} places, {len(net.transitions)} transitions, "
           f"{len(net.arcs)} arcs; replay fitness {log_fitness:.3f}")
@@ -231,7 +254,7 @@ def _execute(args: argparse.Namespace) -> int:
     else:
         marking = petri.default_initial_marking(stripped)
     graph = petri.reachability_graph(stripped, marking, bound=args.bound)
-    _atomic_write(artifact("dot"), petri.export_dot_graph(graph))
+    _atomic_write(artifact("dot"), [petri.export_dot_graph(graph)])
     print(f"reachability: {len(graph.nodes)} markings, {len(graph.edges)} edges "
           f"from {marking}")
     if stages.done("reach", [pnml_path]):
@@ -251,7 +274,7 @@ def _execute(args: argparse.Namespace) -> int:
     fsm = transform.fsm_from_graph(graph)
     fb = transform.build_plant_fb(fsm, amap, initial_valuation,
                                   name=f"{args.component}_PLANT")
-    fb_path = stages.write(artifact("fb"), transform.export_fb(fb))
+    fb_path = stages.write(artifact("fb"), [transform.export_fb(fb)])
     print(f"plant block: {len(fb.states)} states, {len(fb.transitions)} transitions, "
           f"inputs {list(fb.event_inputs)}, outputs {list(fb.event_outputs)}")
     if stages.done("transform", [pnml_path] + ([args.actionmap] if args.actionmap else [])):
@@ -266,7 +289,7 @@ def _execute(args: argparse.Namespace) -> int:
         raise UsageError("--controller is required without --fixture")
     formulas = [verify.parse_ctl(text) for text in args.spec or [DEFAULT_SPEC]]
     document = smv.emit_closed_loop(fb, controller, tuple(formulas))
-    smv_path = _atomic_write(artifact("smv"), document.text)
+    smv_path = _atomic_write(artifact("smv"), [document.text])
     model_inputs = [fb_path] + ([args.controller] if args.controller else [])
     if stages.done("emit-smv", model_inputs):
         return 0
@@ -286,7 +309,7 @@ def _execute(args: argparse.Namespace) -> int:
     ok = not failed and not strict_block and agreement
     report = _render_report(stages.lines, formulas, verdicts, structure, fb,
                             strict=args.strict, nusmv_lines=nusmv_lines, ok=ok)
-    _atomic_write(artifact("report"), report)
+    _atomic_write(artifact("report"), [report])
     print(report, end="")
     return 0 if ok else 1
 

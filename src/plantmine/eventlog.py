@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 from xml.sax.saxutils import quoteattr
 
 from .errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
@@ -173,11 +173,16 @@ def parse_csv(text: str) -> tuple[Event, ...]:
     return tuple(events)
 
 
+def iter_csv(log: tuple[Event, ...]) -> Iterator[str]:
+    """The CSV schema of ``log``, one line per piece (LF endings)."""
+    yield ",".join(CSV_HEADER) + "\n"
+    for e in log:
+        yield f"{e.process_id},{e.timestamp_text},{e.component},{e.action}\n"
+
+
 def export_csv(log: tuple[Event, ...]) -> str:
     """Render events back to the CSV schema (LF endings, trailing newline)."""
-    lines = [",".join(CSV_HEADER)]
-    lines += [f"{e.process_id},{e.timestamp_text},{e.component},{e.action}" for e in log]
-    return "\n".join(lines) + "\n"
+    return "".join(iter_csv(log))
 
 
 def filter_component(log: tuple[Event, ...], component: str) -> tuple[Event, ...]:
@@ -209,13 +214,12 @@ def group_traces(log: tuple[Event, ...]) -> TraceSet:
     return TraceSet(tuple(traces))
 
 
-def export_xes(traces: TraceSet) -> str:
-    """Render a trace set as a minimal XES document.
+def iter_xes(traces: TraceSet) -> Iterator[str]:
+    """A trace set as a minimal XES document, one trace per piece.
 
     Only the attributes the mining step needs are emitted: ``concept:name``
     on traces and events, and ``time:timestamp`` on events when the trace
-    carries timestamps.  Each distinct action is quoted once, and each trace
-    becomes one string.
+    carries timestamps.  Each distinct action is quoted once.
     """
     event_head = {action: ('    <event>\n'
                            f'      <string key="concept:name" value={quoteattr(action)}/>\n')
@@ -224,8 +228,8 @@ def export_xes(traces: TraceSet) -> str:
     # so they need no quoting
     date_head = '      <date key="time:timestamp" value="'
     date_tail = '"/>\n    </event>\n'
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
-             '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n']
+    yield ('<?xml version="1.0" encoding="UTF-8"?>\n'
+           '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n')
     for trace in traces.traces:
         head = f'  <trace>\n    <string key="concept:name" value={quoteattr(trace.process_id)}/>\n'
         if trace.timestamp_texts is None:
@@ -233,6 +237,10 @@ def export_xes(traces: TraceSet) -> str:
         else:
             body = "".join(f"{event_head[a]}{date_head}{t}{date_tail}"
                            for a, t in zip(trace.actions, trace.timestamp_texts))
-        parts.append(f"{head}{body}  </trace>\n")
-    parts.append("</log>\n")
-    return "".join(parts)
+        yield f"{head}{body}  </trace>\n"
+    yield "</log>\n"
+
+
+def export_xes(traces: TraceSet) -> str:
+    """Render a trace set as a minimal XES document (:func:`iter_xes`, joined)."""
+    return "".join(iter_xes(traces))

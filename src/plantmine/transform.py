@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .errors import InconsistentLabeling, ParseError, UnmappedAction
@@ -20,6 +21,8 @@ from .petri import ReachabilityGraph, _dot_quote, explore
 
 # Guard marker for spontaneous transitions in the FB text format.
 NDT_GUARD = "NDT"
+
+_SOURCE = itemgetter(0)  # of a (source, guard, target) transition
 
 
 @dataclass(frozen=True)
@@ -185,8 +188,14 @@ class FunctionBlock:
         if len(by_name) != len(self.states):
             raise ValueError("duplicate EC state names")
         object.__setattr__(self, "states", tuple(by_name[n] for n in sorted(by_name)))
-        transitions = tuple(sorted(set(tuple(t) for t in self.transitions),
-                                   key=lambda t: (t[0], t[1] or "", t[2])))
+        # Ordered by (source, guard, target) with a spontaneous guard first,
+        # as guards are non-empty names: a native sort of each kind, then a
+        # stable sort by source.
+        unique = set(map(tuple, self.transitions))
+        ordered = sorted(t for t in unique if t[1] is None)
+        ordered += sorted(t for t in unique if t[1] is not None)
+        ordered.sort(key=_SOURCE)
+        transitions = tuple(ordered)
         object.__setattr__(self, "transitions", transitions)
 
         if set(self.event_inputs) & set(self.event_outputs):

@@ -8,11 +8,11 @@ from xml.etree import ElementTree
 from helpers import (export_csv_reference, export_xes_reference,
                      format_timestamp_reference, parse_timestamp_reference,
                      random_stamp)
-from plantmine import eventlog
+from plantmine import cli, eventlog
 from plantmine.errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
 from plantmine.eventlog import (Event, TraceSet, export_csv, export_xes,
                                 filter_component, format_timestamp, group_traces,
-                                parse_csv, parse_timestamp)
+                                iter_csv, iter_xes, parse_csv, parse_timestamp)
 
 HEADER = "processId,timestamp,component,action"
 
@@ -332,16 +332,22 @@ def random_log_text(rng, rows):
 class TestExportBytes:
     """The exporters write the same bytes as the strftime references."""
 
-    def test_random_mixed_logs(self):
+    def test_random_mixed_logs(self, tmp_path):
+        # and the CLI's streamed artifacts hold the same bytes
         rng = random.Random(9)
+        streamed = tmp_path / "artifact"
         for _ in range(60):
             log = parse_csv(random_log_text(rng, rng.randint(1, 60)))
             assert export_csv(log) == export_csv_reference(log)
             filtered = filter_component(log, "HC")
             assert export_csv(filtered) == export_csv_reference(filtered)
+            cli._atomic_write(streamed, iter_csv(filtered))
+            assert streamed.read_bytes() == export_csv_reference(filtered).encode()
             if len(filtered):
                 traces = group_traces(filtered)
                 assert export_xes(traces) == export_xes_reference(traces)
+                cli._atomic_write(streamed, iter_xes(traces))
+                assert streamed.read_bytes() == export_xes_reference(traces).encode()
 
     def test_fixture_log(self, fixture_log, fixture_traces):
         assert export_csv(fixture_log) == export_csv_reference(fixture_log)

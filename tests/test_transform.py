@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -115,6 +116,18 @@ class TestBuildPlantFb:
         fb, _ = independent_cylinders(3)
         valuations = [state.valuation for state in fb.states]
         assert len({id(v) for v in valuations}) == len(set(valuations))
+
+    def test_transitions_sort_by_source_guard_target(self):
+        # a spontaneous guard sorts before any event name, and the order
+        # does not depend on the order or repeats the transitions come in
+        rng = random.Random(29)
+        fb, _ = independent_cylinders(2)
+        expected = sorted(fb.transitions, key=lambda t: (t[0], t[1] or "", t[2]))
+        assert {t[1] is None for t in fb.transitions} == {True, False}
+        for _ in range(5):
+            given = list(fb.transitions) + rng.sample(fb.transitions, 40)
+            rng.shuffle(given)
+            assert list(dataclasses.replace(fb, transitions=tuple(given)).transitions) == expected
 
     def test_conflicting_emissions_insert_intermediates(self):
         # two different sensor events entering the same target: both route
