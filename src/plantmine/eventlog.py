@@ -22,6 +22,10 @@ CSV_HEADER = ("processId", "timestamp", "component", "action")
 # so they are restricted to a safe charset at parse time.
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
+# The characters outside XML 1.0's Char production, which no escape can
+# carry: a processId holding one would make log.xes ill-formed.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
 
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 instant and normalize it to UTC.
@@ -120,10 +124,13 @@ def parse_csv(text: str) -> tuple[Event, ...]:
 
     The header row is mandatory and validated by name.  Fields may not contain
     commas (there is no quoting layer); a row with the wrong column count
-    raises :class:`MalformedRow` with its 1-based line number.  Each distinct
-    component or action name is checked against :data:`NAME_RE` once, on the
-    first row that carries it.  A timestamp already in canonical form is kept
-    as its own text and read as written; any other is formatted once.
+    raises :class:`MalformedRow` with its 1-based line number, and so does a
+    processId holding a character XML 1.0 cannot carry (a C0 control other
+    than tab, U+FFFE, U+FFFF or a lone surrogate), checked once per run of
+    rows with that id.  Each distinct component or action name is checked
+    against :data:`NAME_RE` once, on the first row that carries it.  A
+    timestamp already in canonical form is kept as its own text and read as
+    written; any other is formatted once.
     """
     lines = text.splitlines()
     if not lines:
@@ -147,6 +154,9 @@ def parse_csv(text: str) -> tuple[Event, ...]:
             raise MalformedRow(line_no, "empty processId")
         if process_id == previous_id:
             process_id = previous_id
+        elif _NOT_XML.search(process_id):
+            raise MalformedRow(line_no, f"processId {process_id!r} holds a character "
+                               "XML cannot carry")
         previous_id = process_id
         if component in valid_names:
             component = valid_names[component]

@@ -273,28 +273,30 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot_digraph(name: str, lines: list[str]) -> str:
+    """A DOT digraph laid out left to right around the given statement lines."""
+    return "\n".join([f"digraph {name} {{", "  rankdir=LR;", *lines, "}"]) + "\n"
+
+
 def export_dot_net(net: PetriNet) -> str:
     """DOT rendering of the net: places as circles, transitions as boxes."""
-    lines = ["digraph petrinet {", "  rankdir=LR;"]
+    lines = []
     for place in net.places:
         lines.append(f"  {_dot_quote(place)} [shape=circle];")
     for transition in net.transitions:
         lines.append(f"  {_dot_quote(transition)} [shape=box];")
     for src, dst in net.arcs:
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_digraph("petrinet", lines)
 
 
 def export_dot_graph(graph: ReachabilityGraph) -> str:
     """DOT rendering of a reachability graph, nodes named in discovery order."""
-    names = {marking: f"M{i}" for i, marking in enumerate(graph.nodes)}
-    lines = ["digraph reachability {", "  rankdir=LR;"]
-    for marking in graph.nodes:
-        label = f"{names[marking]} {marking}"
-        lines.append(f"  {_dot_quote(names[marking])} [label={_dot_quote(label)}];")
+    names: dict[Marking, str] = {}  # each node's quoted name
+    lines = []
+    for i, marking in enumerate(graph.nodes):
+        names[marking] = _dot_quote(f"M{i}")
+        lines.append(f"  {names[marking]} [label={_dot_quote(f'M{i} {marking}')}];")
     for src, transition, dst in graph.edges:
-        lines.append(f"  {_dot_quote(names[src])} -> {_dot_quote(names[dst])} "
-                     f"[label={_dot_quote(transition)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {names[src]} -> {names[dst]} [label={_dot_quote(transition)}];")
+    return _dot_digraph("reachability", lines)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import SmvUnsupported, UnknownAtom
 from .transform import FunctionBlock
@@ -69,22 +71,19 @@ def emit_plant_module(fb: FunctionBlock) -> str:
              "ASSIGN",
              f"  init(state) := {fb.initial_state};",
              "  next(state) := case"]
-    guarded: dict[tuple[str, str], list[str]] = {}
-    for src, guard, dst in fb.transitions:
+    # The constructor orders transitions by source, then guard (spontaneous
+    # first), then target, so each group's targets come sorted.
+    for (src, guard), group in groupby(fb.transitions, key=itemgetter(0, 1)):
+        targets = [dst for _, _, dst in group]
         if guard is not None:
-            guarded.setdefault((guard, src), []).append(dst)
-    for (guard, src), targets in sorted(guarded.items()):
-        lines.append(f"    pending = {guard} & state = {src} : {_choice(targets)};")
-    for src in state_names:
-        targets = fb.ndt_edges(src)
+            lines.append(f"    pending = {guard} & state = {src} : {_choice(targets)};")
+            continue
         if src in targets:
             raise SmvUnsupported(
                 f"state {src!r} has a spontaneous self-loop, which this "
                 "encoding cannot distinguish from a stutter step")
-        if targets:
-            options = list(targets)
-            insort(options, src)
-            lines.append(f"    pending = none & state = {src} : {_choice(options)};")
+        insort(targets, src)
+        lines.append(f"    pending = none & state = {src} : {_choice(targets)};")
     lines.append("    TRUE : state;")
     lines.append("  esac;")
 
@@ -187,12 +186,10 @@ def emit_closed_loop(fb: FunctionBlock, ctl: ControllerFSM,
         lines.append(f"      next(plant.state) = {state} : {emission};")
     lines.append("      TRUE : none;")
     lines.append("    esac;")
-    routed_to_plant = [e for e in events if e not in fb.event_outputs]
-    if routed_to_plant:
-        guard = " | ".join(f"pending = {g}" for g in routed_to_plant)
-        # Input-guarded targets never announce anything, so executing or
-        # dropping a command always clears the pending slot.
-        lines.append(f"    {guard} : none;")
+    # A pending sensor event becomes the controller's reply.  A pending
+    # command clears the slot through the same rule: the controller never
+    # reacts to its own outputs, so ctl.out is none, and an input-guarded
+    # target never announces anything.
     lines.append("    TRUE : ctl.out;")
     lines.append("  esac;")
 

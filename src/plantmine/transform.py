@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 
 from .errors import InconsistentLabeling, ParseError, UnmappedAction
 from .eventlog import NAME_RE
-from .petri import ReachabilityGraph, _dot_quote, explore
+from .petri import ReachabilityGraph, _dot_digraph, _dot_quote, explore
 
 # Guard marker for spontaneous transitions in the FB text format.
 NDT_GUARD = "NDT"
@@ -420,7 +420,7 @@ def parse_fb(text: str) -> FunctionBlock:
 
 def export_fb_dot(fb: FunctionBlock) -> str:
     """DOT rendering of the ECC; spontaneous transitions are dashed."""
-    lines = ["digraph ecc {", "  rankdir=LR;"]
+    lines = []
     for state in fb.states:
         label = state.name if state.emission is None else f"{state.name} / {state.emission}"
         shape = ' peripheries=2' if state.name == fb.initial_state else ""
@@ -428,5 +428,4 @@ def export_fb_dot(fb: FunctionBlock) -> str:
     for src, guard, dst in fb.transitions:
         style = f"label={_dot_quote(guard)}" if guard else 'label="NDT" style=dashed'
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [{style}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_digraph("ecc", lines)

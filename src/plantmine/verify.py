@@ -357,6 +357,9 @@ class AU(Formula):
 # rendering alike; "G" is accepted as a spelling of AG.
 _TEMPORAL = (EX, EF, EG, AX, AF, AG)
 _PREFIX = {op.__name__: op for op in _TEMPORAL} | {"G": AG, "!": Not}
+# symbol, precedence (loosest first, counted from 1), right-associative
+_BINARY = {Implies: ("->", 1, True), Or: ("|", 2, False), And: ("&", 3, False)}
+_BY_PRECEDENCE = {rank: (op, symbol, right) for op, (symbol, rank, right) in _BINARY.items()}
 
 # Deepest syntax tree, and nesting of operators and brackets, parse_ctl accepts.
 # Per level the parser recurses at most four frames (a bracket), the renderers
@@ -372,8 +375,9 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(pos, f"unexpected character {text[pos]!r}")
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(len(text) - len(rest), f"unexpected character {rest[0]!r}")
             break
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
@@ -385,7 +389,7 @@ class _CtlParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-        self.depth = 0  # unary() calls under way: operators and brackets open, plus one
+        self.depth = 0  # operand() calls under way: operators and brackets open, plus one
 
     def peek(self) -> str | None:
         return self.tokens[self.index][0] if self.index < len(self.tokens) else None
@@ -406,7 +410,7 @@ class _CtlParser:
         self.index += 1
 
     def parse(self) -> Formula:
-        formula = self.implication()
+        formula = self.binary()
         if self.peek() is not None:
             raise ParseError(self.pos(), f"trailing input {self.peek()!r}")
         depth, layer = 0, [formula]  # by layers: long & | -> chains are never on the stack
@@ -417,72 +421,59 @@ class _CtlParser:
             raise ParseError(0, f"formula nested deeper than {MAX_CTL_DEPTH} levels")
         return formula
 
-    def implication(self) -> Formula:
-        parts = [self.disjunction()]  # -> associates to the right
-        while self.peek() == "->":
+    def binary(self, precedence: int = 1) -> Formula:
+        """A chain of the binary operator at ``precedence``; its operands bind tighter."""
+        op, symbol, right_assoc = _BY_PRECEDENCE[precedence]
+        parts = []
+        while True:
+            parts.append(self.binary(precedence + 1) if precedence < len(_BINARY)
+                         else self.operand())
+            if self.peek() != symbol:
+                break
             self.take()
-            parts.append(self.disjunction())
-        return reduce(lambda right, left: Implies(left, right), reversed(parts))
+        if right_assoc:
+            return reduce(lambda right, left: op(left, right), reversed(parts))
+        return reduce(op, parts)
 
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek() == "&":
-            self.take()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
+    def operand(self) -> Formula:
         token = self.peek()
         self.depth += 1
         if self.depth > MAX_CTL_DEPTH:
             raise ParseError(self.pos(), f"formula nested deeper than {MAX_CTL_DEPTH} levels")
         if token is None:
             raise ParseError(self.pos(), "unexpected end of formula")
+        if token != "(" and token not in _PREFIX and not NAME_RE.match(token):
+            raise ParseError(self.pos(), f"unexpected token {token!r}")
+        self.take()
         if token in _PREFIX:
-            self.take()
-            formula = _PREFIX[token](self.unary())
+            formula = _PREFIX[token](self.operand())
         elif token in ("A", "E"):
-            self.take()
             self.expect("[")
-            left = self.implication()
+            left = self.binary()
             self.expect("U")
-            right = self.implication()
+            right = self.binary()
             self.expect("]")
             formula = AU(left, right) if token == "A" else EU(left, right)
         elif token == "(":
-            self.take()
-            formula = self.implication()
+            formula = self.binary()
             self.expect(")")
         elif token in ("TRUE", "FALSE"):
-            self.take()
             formula = Const(token == "TRUE")
-        elif NAME_RE.match(token):
-            formula = self.atom()
-        else:
-            raise ParseError(self.pos(), f"unexpected token {token!r}")
-        self.depth -= 1
-        return formula
-
-    def atom(self) -> Formula:
-        name = self.take()
-        if self.peek() == "=":
+        elif self.peek() != "=":
+            formula = Atom(token)
+        else:  # a comparison: X = TRUE, X = FALSE or X = Y
             self.take()
             value = self.take()
             if value == "TRUE":
-                return Atom(name)
-            if value == "FALSE":
-                return Not(Atom(name))
-            if NAME_RE.match(value):
-                return Atom(f"{name}={value}")
-            raise ParseError(self.pos(), f"bad comparison value {value!r}")
-        return Atom(name)
+                formula = Atom(token)
+            elif value == "FALSE":
+                formula = Not(Atom(token))
+            elif NAME_RE.match(value):
+                formula = Atom(f"{token}={value}")
+            else:
+                raise ParseError(self.pos(), f"bad comparison value {value!r}")
+        self.depth -= 1
+        return formula
 
 
 def parse_ctl(text: str) -> Formula:
@@ -494,9 +485,6 @@ def parse_ctl(text: str) -> Formula:
     than :data:`MAX_CTL_DEPTH` raise :class:`ParseError`.
     """
     return _CtlParser(text).parse()
-
-
-_BINARY = {Implies: ("->", 1), Or: ("|", 2), And: ("&", 3)}  # symbol, precedence
 
 
 class _Syntax(NamedTuple):
@@ -517,12 +505,12 @@ def _render(formula: Formula, atom_text: Callable[[str], str], syntax: _Syntax) 
         return text if isinstance(f, syntax.bare) else f"({text})"
 
     def side(f: Formula, parent: type, right_side: bool) -> str:
-        # & and | parse left-associative, -> right-associative; parenthesize
-        # the sides that would re-associate differently.
+        # Parenthesize the sides that would parse back differently under the
+        # operators' precedence and associativity.
         text = render(f)
         if type(f) in _BINARY and (
                 _BINARY[type(f)][1] < _BINARY[parent][1]
-                or type(f) is parent and (not right_side if parent is Implies
+                or type(f) is parent and (not right_side if _BINARY[parent][2]
                                           else right_side and syntax.group_right)):
             return f"({text})"
         return text

@@ -276,13 +276,15 @@ class TestStages:
         (["reach", "--fixture", "--marking", "p.HOME_ON..EXT=1,p.HOME_ON..EXT=0"], None),
         (["mine"], ["1,2021-05-10T10:00:00Z,HC,source", "1,2021-05-10T10:00:01Z,HC,EXT"]),
         (["mine"], ["1,0001-01-01T00:30:00+01:00,HC,EXT"]),
+        (["mine"], ["1,2021-05-10T10:00:00Z,HC,EXT", "a\x01b,2021-05-10T10:00:01Z,HC,EXT"]),
         (["pipeline", "--fixture", "--spec", "AG NOPE"], None),
         (["pipeline", "--fixture", "--spec", "AG " + "!" * 600 + "HOME"], None),
         (["pipeline", "--fixture", "--spec", " & ".join(["HOME"] * 600)], None),
         (["pipeline", "--fixture", "--spec", "!" * 3000 + "HOME"], None),
         (["pipeline", "--fixture", "--spec", "(" * 1200 + "HOME" + ")" * 1200], None),
     ], ids=["zero-traces", "empty-cycles", "zero-bound", "negative-marking",
-            "unknown-place", "repeated-place", "action-named-source", "timestamp-overflow", "unknown-atom",
+            "unknown-place", "repeated-place", "action-named-source", "timestamp-overflow",
+            "control-char-process-id", "unknown-atom",
             "600-negations", "600-term-chain", "3000-negations", "1200-parentheses"])
     def test_invalid_value_exits_two(self, tmp_path, capsys, argv, rows):
         if rows is not None:

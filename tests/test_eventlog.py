@@ -86,6 +86,37 @@ class TestParseCsv:
         assert exc.value.line_no == 42
         assert reason in str(exc.value)
 
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0e", "\x1f",
+                                      "\ud800", "\udfff", "\ufffe", "\uffff"])
+    def test_process_id_xml_cannot_carry_is_malformed(self, char):
+        rows = [f"{pid},2021-05-10T10:00:0{i}Z,HC,EXT"
+                for i, pid in enumerate(["1", "1", f"2{char}", "3"])]
+        with pytest.raises(MalformedRow) as exc:
+            parse_csv(make_csv(*rows))
+        assert exc.value.line_no == 4
+        assert "processId" in str(exc.value)
+
+    def test_process_id_with_tab_or_non_ascii_exports_well_formed_xes(self):
+        log = parse_csv(make_csv("a\tb,2021-05-10T10:00:01Z,HC,EXT",
+                                 "\u00e9\U0001f600,2021-05-10T10:00:02Z,HC,EXT"))
+        root = ElementTree.fromstring(export_xes(group_traces(log)).encode())
+        names = [t.find("{http://www.xes-standard.org/}string").get("value")
+                 for t in root.iter("{http://www.xes-standard.org/}trace")]
+        assert names == ["a\tb", "\u00e9\U0001f600"]
+
+    def test_process_id_checked_once_per_run_of_rows(self, monkeypatch):
+        checked = []
+
+        class Recorder:
+            def search(self, text):
+                checked.append(text)
+
+        monkeypatch.setattr(eventlog, "_NOT_XML", Recorder())
+        rows = [f"{pid},2021-05-10T10:00:{i:02d}Z,HC,EXT"
+                for i, pid in enumerate(["1"] * 5 + ["2"] * 5 + ["1"] * 5)]
+        parse_csv(make_csv(*rows))
+        assert checked == ["1", "2", "1"]
+
     @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00",
                                        "9999-12-31T23:30:00-01:00"])
     def test_instant_outside_utc_range_is_bad_timestamp(self, stamp):

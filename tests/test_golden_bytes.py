@@ -5,7 +5,10 @@ pipeline on fixed inputs and compares each artifact's sha256 digest with the
 ones pinned in ``golden/artifact_sha256.txt`` (``sha256sum`` format, one
 ``<digest>  <case>/<artifact>`` line each).  A change that alters these bytes
 on purpose updates the pinned digests and says why in CHANGES.md; the
-failure message lists the digests the code produces now.
+failure message lists the digests the code produces now.  The fixture's
+SMV is also kept whole as ``golden/fixture_closed_loop.smv``; regenerate it
+with ``python -m plantmine.cli emit-smv --fixture --seed 42 --traces 20
+--out <dir>`` and copy ``<dir>/closed_loop.smv`` over it.
 
 The cases:
 

@@ -16,7 +16,8 @@ from plantmine.verify import (CompositeState, check_ctl, compose, parse_ctl,
                               render_ctl)
 
 from helpers import (ctl_oracle, independent_cylinders, random_controller,
-                     random_formula, random_plant_fsm, render_smv_formula_reference)
+                     random_formula, random_plant_fsm, render_smv_formula_reference,
+                     transfer_line)
 from smv_eval import SmvModel
 
 GOLDEN = Path(__file__).parent / "golden" / "fixture_closed_loop.smv"
@@ -126,6 +127,17 @@ class TestClosedLoop:
         assert "\t" not in document.text
         assert "\r" not in document.text
         assert document.text.endswith("\n")
+
+    def test_no_rule_for_a_pending_command(self, fixture_fb):
+        # a pending command leaves through TRUE : ctl.out, since the controller
+        # never reacts to its own outputs
+        for fb, ctl in [(fixture_fb, fixture_controller()), independent_cylinders(2),
+                        transfer_line(3)]:
+            main = emit_closed_loop(fb, ctl).text.partition("MODULE main\n")[2]
+            assert ctl.outputs and set(ctl.outputs) <= set(fb.event_inputs)
+            for command in ctl.outputs:
+                assert f"pending = {command}" not in main, fb.name
+            assert main.endswith("    TRUE : ctl.out;\n  esac;\n")
 
     def test_matches_golden_file(self, fixture_fb):
         document = emit_closed_loop(fixture_fb, fixture_controller(), (SAFETY,))
@@ -242,7 +254,13 @@ class TestOfflineAgreement:
         assert moving == 200
 
     def test_two_independent_cylinders(self):
+        # and the three-cylinder transfer line, whose HOME latches start set
         fb, ctl = independent_cylinders(2)
         specs = (parse_ctl("AG !(HOME_A & END_A)"), parse_ctl("EF END_A"),
                  parse_ctl("AG EF HOME_B"))
         assert_agrees(fb, ctl, specs + _random_specs(random.Random(7), fb, ctl))
+        fb, ctl = transfer_line(3)
+        specs = (parse_ctl("AG !(HOME_A & END_A)"), parse_ctl("AG !END_C"),
+                 parse_ctl("AG EF HOME_A"))
+        built = assert_agrees(fb, ctl, specs + _random_specs(random.Random(8), fb, ctl))
+        assert not check_ctl(built, specs[1]).holds

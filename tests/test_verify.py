@@ -190,6 +190,24 @@ class TestParseCtl:
         assert parse_ctl("p -> q -> r") == Implies(Atom("p"),
                                                    Implies(Atom("q"), Atom("r")))
 
+    @pytest.mark.parametrize("text, position, reason", [
+        ("AG !(HOME & $END)", 12, "unexpected character '$'"),  # not the blank before it
+        ("\tAG  #p", 5, "unexpected character '#'"),
+        ("p&@", 2, "unexpected character '@'"),
+        ("p & ", 4, "unexpected end of formula"),
+        (") p", 0, "unexpected token ')'"),
+        ("p & -> q", 4, "unexpected token '->'"),
+        ("E [ p q ]", 6, "expected 'U'"),
+        ("AG (p", 5, "expected ')'"),
+        ("HOME = ->", 9, "bad comparison value '->'"),
+        ("p q", 2, "trailing input 'q'"),
+    ])
+    def test_error_position_and_reason(self, text, position, reason):
+        with pytest.raises(ParseError) as exc:
+            parse_ctl(text)
+        assert exc.value.position == position
+        assert str(exc.value) == f"parse error at {position}: {reason}"
+
     def test_unbalanced_raises(self):
         with pytest.raises(ParseError):
             parse_ctl("AG !(p")
