@@ -238,9 +238,8 @@ def _execute(args: argparse.Namespace) -> int:
     _atomic_write(artifact("xes"), eventlog.iter_xes(traces))
     net = discovery.alpha_discover(traces)
     pnml_path = stages.write(artifact("pnml"), [petri.export_pnml(net)])
-    log_fitness = discovery.fitness(net, traces)
     print(f"mined net: {len(net.places)} places, {len(net.transitions)} transitions, "
-          f"{len(net.arcs)} arcs; replay fitness {log_fitness:.3f}")
+          f"{len(net.arcs)} arcs")
     if stages.done("mine", [log_path]):
         return 0
 

@@ -53,9 +53,9 @@ class NoBoundary(PlantMineError):
 
 
 class MarkingRequired(PlantMineError):
-    def __init__(self) -> None:
-        super().__init__("no place with an empty preset; "
-                         "an explicit initial marking is required")
+    def __init__(self, reason: str) -> None:
+        self.reason = reason
+        super().__init__(f"{reason}; an explicit initial marking is required")
 
 
 class BoundExceeded(PlantMineError):

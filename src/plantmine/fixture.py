@@ -114,5 +114,5 @@ def rest_position_marking(net: PetriNet) -> Marking:
     """
     feeders = net.preset(REST_COMMAND) if REST_COMMAND in net.transitions else ()
     if len(feeders) != 1:
-        raise MarkingRequired()
+        raise MarkingRequired(f"no single place feeds {REST_COMMAND!r}")
     return Marking.of({feeders[0]: 1})

@@ -149,7 +149,7 @@ def default_initial_marking(net: PetriNet) -> Marking:
     """
     sourceless = [p for p in net.places if not net.preset(p)]
     if not sourceless:
-        raise MarkingRequired()
+        raise MarkingRequired("no place with an empty preset")
     return Marking.of({p: 1 for p in sourceless})
 
 

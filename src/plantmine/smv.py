@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .errors import SmvUnsupported, UnknownAtom
 from .transform import FunctionBlock
-from .verify import _SMV, ControllerFSM, Formula, _check_wiring, _render
+from .verify import Const, ControllerFSM, Formula, Not, _check_wiring, _render, _Syntax
 
 # NuSMV 2.6 keywords plus the identifiers this emitter claims for itself.
 _RESERVED = {
@@ -36,6 +36,9 @@ _RESERVED = {
 
 CONTROLLER_MODULE = "CONTROLLER"
 
+# NuSMV's spelling of CTL, for the renderer of plantmine.verify.
+_SMV = _Syntax("{} [ {} U {} ]", (Const, Not), False)
+
 
 @dataclass(frozen=True)
 class SmvDocument:
@@ -49,6 +52,23 @@ def _check_name(name: str, role: str) -> None:
 
 def _choice(targets: list[str]) -> str:
     return targets[0] if len(targets) == 1 else "{" + ", ".join(targets) + "}"
+
+
+def _state_machine(name: str, states: tuple[str, ...] | list[str], initial: str,
+                   rules: list[str], defines: list[str]) -> str:
+    """Module ``name(pending)`` whose ``state`` steps by ``rules`` and else stays put."""
+    lines = [f"MODULE {name}(pending)",
+             "VAR",
+             "  state : {" + ", ".join(states) + "};",
+             "ASSIGN",
+             f"  init(state) := {initial};",
+             "  next(state) := case",
+             *rules,
+             "    TRUE : state;",
+             "  esac;"]
+    if defines:  # DEFINE with no entries is invalid SMV
+        lines += ["DEFINE", *defines]
+    return "\n".join(lines) + "\n"
 
 
 def emit_plant_module(fb: FunctionBlock) -> str:
@@ -65,62 +85,44 @@ def emit_plant_module(fb: FunctionBlock) -> str:
     for name in state_names + [*fb.event_inputs, *fb.event_outputs, *fb.sensor_vars]:
         _check_name(name, "identifier")
 
-    lines = [f"MODULE {fb.name}(pending)",
-             "VAR",
-             "  state : {" + ", ".join(state_names) + "};",
-             "ASSIGN",
-             f"  init(state) := {fb.initial_state};",
-             "  next(state) := case"]
+    rules = []
     # The constructor orders transitions by source, then guard (spontaneous
     # first), then target, so each group's targets come sorted.
     for (src, guard), group in groupby(fb.transitions, key=itemgetter(0, 1)):
         targets = [dst for _, _, dst in group]
         if guard is not None:
-            lines.append(f"    pending = {guard} & state = {src} : {_choice(targets)};")
+            rules.append(f"    pending = {guard} & state = {src} : {_choice(targets)};")
             continue
         if src in targets:
             raise SmvUnsupported(
                 f"state {src!r} has a spontaneous self-loop, which this "
                 "encoding cannot distinguish from a stutter step")
         insort(targets, src)
-        lines.append(f"    pending = none & state = {src} : {_choice(targets)};")
-    lines.append("    TRUE : state;")
-    lines.append("  esac;")
+        rules.append(f"    pending = none & state = {src} : {_choice(targets)};")
 
     true_in: dict[str, list[str]] = {var: [] for var in fb.sensor_vars}
     for state in fb.states:
         for var in state.valuation:
             true_in[var].append(state.name)
-    if true_in:  # DEFINE with no entries is invalid SMV
-        lines.append("DEFINE")
-    for var, names in true_in.items():
-        lines.append(f"  {var} := state in {{{', '.join(names)}}};" if names
-                     else f"  {var} := FALSE;")
-    return "\n".join(lines) + "\n"
+    defines = [f"  {var} := state in {{{', '.join(names)}}};" if names
+               else f"  {var} := FALSE;"
+               for var, names in true_in.items()]
+    return _state_machine(fb.name, state_names, fb.initial_state, rules, defines)
 
 
 def emit_controller_module(ctl: ControllerFSM) -> str:
     """One SMV module for the controller, with its output event as a define."""
     for name in ctl.states + ctl.inputs + ctl.outputs:
         _check_name(name, "identifier")
-    lines = [f"MODULE {CONTROLLER_MODULE}(pending)",
-             "VAR",
-             "  state : {" + ", ".join(ctl.states) + "};",
-             "ASSIGN",
-             f"  init(state) := {ctl.initial};",
-             "  next(state) := case"]
-    for src, event, _, target in ctl.transitions:
-        lines.append(f"    state = {src} & pending = {event} : {target};")
-    lines.append("    TRUE : state;")
-    lines.append("  esac;")
-    lines.append("DEFINE")
-    lines.append("  out := case")
-    for src, event, output, _ in ctl.transitions:
-        if output is not None:
-            lines.append(f"    state = {src} & pending = {event} : {output};")
-    lines.append("    TRUE : none;")
-    lines.append("  esac;")
-    return "\n".join(lines) + "\n"
+    rules = [f"    state = {src} & pending = {event} : {target};"
+             for src, event, _, target in ctl.transitions]
+    outputs = [f"    state = {src} & pending = {event} : {output};"
+               for src, event, output, _ in ctl.transitions if output is not None]
+    defines = ["  out := case",
+               *outputs,
+               "    TRUE : none;",
+               "  esac;"]
+    return _state_machine(CONTROLLER_MODULE, ctl.states, ctl.initial, rules, defines)
 
 
 def render_smv_formula(formula: Formula, fb: FunctionBlock,

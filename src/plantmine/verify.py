@@ -289,74 +289,69 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True)
-class Not(Formula):
+class Unary(Formula):
     operand: Formula
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+# The operators add no field: equality, hash, repr, match arguments and
+# pickling come from their shape's dataclass, and equality checks the class.
+class Not(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class EX(Formula):
-    operand: Formula
+class Or(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class EF(Formula):
-    operand: Formula
+class Implies(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class EG(Formula):
-    operand: Formula
+class EX(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class EU(Formula):
-    left: Formula
-    right: Formula
+class EF(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class AX(Formula):
-    operand: Formula
+class EG(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class AF(Formula):
-    operand: Formula
+class EU(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class AG(Formula):
-    operand: Formula
+class AX(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class AU(Formula):
-    left: Formula
-    right: Formula
+class AF(Unary):
+    pass
+
+
+class AG(Unary):
+    pass
+
+
+class AU(Binary):
+    pass
 
 
 # Each unary temporal operator is spelled as its class name, for parsing and
 # rendering alike; "G" is accepted as a spelling of AG.
-_TEMPORAL = (EX, EF, EG, AX, AF, AG)
-_PREFIX = {op.__name__: op for op in _TEMPORAL} | {"G": AG, "!": Not}
+_PREFIX = {op.__name__: op for op in (EX, EF, EG, AX, AF, AG)} | {"G": AG, "!": Not}
 # symbol, precedence (loosest first, counted from 1), right-associative
 _BINARY = {Implies: ("->", 1, True), Or: ("|", 2, False), And: ("&", 3, False)}
 _BY_PRECEDENCE = {rank: (op, symbol, right) for op, (symbol, rank, right) in _BINARY.items()}
@@ -495,8 +490,7 @@ class _Syntax(NamedTuple):
     group_right: bool  # parenthesize a right operand of the same & or |
 
 
-_TEXT = _Syntax("{}[{} U {}]", (Const, Atom, Not, *_TEMPORAL), True)
-_SMV = _Syntax("{} [ {} U {} ]", (Const, Not), False)
+_TEXT = _Syntax("{}[{} U {}]", (Const, Atom, Unary), True)
 
 
 def _render(formula: Formula, atom_text: Callable[[str], str], syntax: _Syntax) -> str:
@@ -523,13 +517,13 @@ def _render(formula: Formula, atom_text: Callable[[str], str], syntax: _Syntax) 
                 return atom_text(name)
             case Not(inner):
                 return "!" + unary(inner)
-            case EX(inner) | EF(inner) | EG(inner) | AX(inner) | AF(inner) | AG(inner):
+            case Unary(inner):
                 return f"{type(f).__name__} {unary(inner)}"
-            case And(left, right) | Or(left, right) | Implies(left, right):
-                return (f"{side(left, type(f), False)} {_BINARY[type(f)][0]} "
-                        f"{side(right, type(f), True)}")
             case EU(left, right) | AU(left, right):
                 return syntax.until.format(type(f).__name__[0], render(left), render(right))
+            case Binary(left, right):
+                return (f"{side(left, type(f), False)} {_BINARY[type(f)][0]} "
+                        f"{side(right, type(f), True)}")
         raise TypeError(f"not a formula: {f!r}")
 
     return render(formula)

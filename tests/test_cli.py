@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from plantmine import cli
+from plantmine import cli, discovery
 from plantmine.cli import main
 from plantmine.fixture import FIXTURE_CONTROLLER_TEXT
 from plantmine.verify import MAX_CTL_DEPTH
@@ -145,6 +145,29 @@ class TestStages:
         code = run("reach", "--log", str(tmp_path / "log.csv"),
                    "--out", str(tmp_path))
         assert code == 2  # cyclic net, no sourceless place
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["reach", "--log", "{log}"], "no place with an empty preset"),
+        (["pipeline", "--fixture", "--traces", "1", "--cycles", "1..1"],
+         "no single place feeds 'EXT'"),  # the fixture's rest-position rule
+    ], ids=["sourceless", "fixture"])
+    def test_missing_marking_names_its_rule(self, tmp_path, capsys, argv, reason):
+        run("simulate", "--seed", "7", "--traces", "3", "--out", str(tmp_path))
+        argv = [arg.format(log=tmp_path / "log.csv") for arg in argv]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert (f"error: {reason}; an explicit initial marking is required\n"
+                in capsys.readouterr().err)
+
+    def test_mine_prints_no_fitness(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        # counted through the module attribute the CLI would call
+        monkeypatch.setattr(discovery, "fitness", lambda *args: calls.append(args) or 1.0)
+        assert run("mine", "--fixture", "--out", str(tmp_path)) == 0
+        mined = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("mined net")]
+        assert mined == ["mined net: 8 places, 6 transitions, 14 arcs"]
+        assert run("pipeline", "--fixture", "--traces", "5", "--out", str(tmp_path)) == 0
+        assert calls == []
 
     def test_reach_with_explicit_marking(self, tmp_path):
         run("simulate", "--seed", "7", "--traces", "3", "--out", str(tmp_path))

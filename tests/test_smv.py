@@ -11,9 +11,9 @@ from plantmine.fixture import (INITIAL_VALUATION, SimConfig, fixture_action_map,
                                fixture_controller)
 from plantmine.smv import (emit_closed_loop, emit_controller_module,
                            emit_plant_module, render_smv_formula)
-from plantmine.transform import FSM, build_plant_fb
-from plantmine.verify import (CompositeState, check_ctl, compose, parse_ctl,
-                              render_ctl)
+from plantmine.transform import FSM, EccState, FunctionBlock, build_plant_fb
+from plantmine.verify import (CompositeState, ControllerFSM, check_ctl, compose,
+                              parse_ctl, render_ctl)
 
 from helpers import (ctl_oracle, independent_cylinders, random_controller,
                      random_formula, random_plant_fsm, render_smv_formula_reference,
@@ -23,6 +23,19 @@ from smv_eval import SmvModel
 GOLDEN = Path(__file__).parent / "golden" / "fixture_closed_loop.smv"
 
 SAFETY = parse_ctl("AG !(HOME & END)")
+
+
+def latchless_loop() -> tuple[FunctionBlock, ControllerFSM]:
+    """A two-state block with no latches, reset by a one-state controller."""
+    fb = FunctionBlock(name="BELL", event_inputs=("RESET",), event_outputs=("PUSH",),
+                       sensor_vars=(),
+                       states=(EccState("Q0", None, frozenset()),
+                               EccState("Q1", "PUSH", frozenset())),
+                       initial_state="Q0",
+                       transitions=(("Q0", None, "Q1"), ("Q1", "RESET", "Q0")))
+    ctl = ControllerFSM(states=("C0",), initial="C0", inputs=("PUSH",),
+                        outputs=("RESET",), transitions=(("C0", "PUSH", "RESET", "C0"),))
+    return fb, ctl
 
 
 class TestPlantModule:
@@ -82,6 +95,14 @@ class TestPlantModule:
         fb = build_plant_fb(fsm, ActionMap.of(sensors={"HOME_ON": (var, True)}), {var: False})
         with pytest.raises(SmvUnsupported, match=f"identifier '{var}'"):
             emit_plant_module(fb)
+
+    def test_block_without_latches_defines_nothing(self):
+        fb, ctl = latchless_loop()
+        plant = emit_plant_module(fb)
+        assert "DEFINE" not in plant.splitlines()
+        assert plant.endswith("    TRUE : state;\n  esac;\n")
+        controller = emit_controller_module(ctl).splitlines()
+        assert controller[controller.index("DEFINE") + 1] == "  out := case"
 
     def test_latch_named_accepts_is_emitted(self):
         # "accepts" is no NuSMV keyword and no emitter name
@@ -254,7 +275,8 @@ class TestOfflineAgreement:
         assert moving == 200
 
     def test_two_independent_cylinders(self):
-        # and the three-cylinder transfer line, whose HOME latches start set
+        # and the three-cylinder transfer line, whose HOME latches start set,
+        # and a block with no latches, whose plant module has no DEFINE
         fb, ctl = independent_cylinders(2)
         specs = (parse_ctl("AG !(HOME_A & END_A)"), parse_ctl("EF END_A"),
                  parse_ctl("AG EF HOME_B"))
@@ -264,3 +286,8 @@ class TestOfflineAgreement:
                  parse_ctl("AG EF HOME_A"))
         built = assert_agrees(fb, ctl, specs + _random_specs(random.Random(8), fb, ctl))
         assert not check_ctl(built, specs[1]).holds
+        fb, ctl = latchless_loop()
+        specs = (parse_ctl("AG EF plant_state = Q1"),
+                 parse_ctl("AG (plant_state = Q1 -> AF plant_state = Q0)"))
+        built = assert_agrees(fb, ctl, specs + _random_specs(random.Random(9), fb, ctl))
+        assert len(built.states) == 3 and all(check_ctl(built, f).holds for f in specs)

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
+import pickle
 import random
 from collections.abc import Mapping
+from itertools import permutations
 
 import pytest
 
@@ -9,7 +13,7 @@ from plantmine.errors import (AlphabetMismatch, BoundExceeded,
 from plantmine.fixture import (FIXTURE_CONTROLLER_TEXT, INITIAL_VALUATION,
                                fixture_action_map, fixture_controller)
 from plantmine.transform import FSM, build_plant_fb
-from plantmine.verify import (AG, AU, AX, EF, EU, EX, MAX_CTL_DEPTH, And, Atom,
+from plantmine.verify import (AF, AG, AU, AX, EF, EG, EU, EX, MAX_CTL_DEPTH, And, Atom,
                               CompositeState, Const, ControllerFSM, Implies,
                               KripkeStructure, Not, Or,
                               PathStep, check_ctl, compose, parse_controller,
@@ -247,6 +251,66 @@ class TestParseCtl:
         assert parse_ctl(render_ctl(formula)) == formula
         with pytest.raises(ParseError, match="nested deeper than"):
             parse_ctl(nested(MAX_CTL_DEPTH + 1))
+
+
+UNARY = (Not, EX, EF, EG, AX, AF, AG)
+BINARY = (And, Or, Implies, EU, AU)
+
+
+class TestFormulaNodes:
+    """Operators of one shape have the same fields, yet each node keeps its operator."""
+
+    X, Y = Atom("x"), Atom("y")
+
+    def nodes(self):
+        return [op(self.X) for op in UNARY] + [op(self.X, self.Y) for op in BINARY]
+
+    def test_operators_of_one_shape_differ(self):
+        for shape, operands in ((UNARY, (self.X,)), (BINARY, (self.X, self.Y))):
+            for first, second in permutations(shape, 2):
+                assert first(*operands) != second(*operands)
+        assert len(set(self.nodes())) == 12
+
+    def test_repr(self):
+        x, y = "Atom(name='x')", "Atom(name='y')"
+        assert [repr(node) for node in self.nodes()] == [
+            f"Not(operand={x})", f"EX(operand={x})", f"EF(operand={x})",
+            f"EG(operand={x})", f"AX(operand={x})", f"AF(operand={x})",
+            f"AG(operand={x})", f"And(left={x}, right={y})", f"Or(left={x}, right={y})",
+            f"Implies(left={x}, right={y})", f"EU(left={x}, right={y})",
+            f"AU(left={x}, right={y})"]
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for node in self.nodes():
+            for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+                assert twin == node and type(twin) is type(node)
+                assert hash(twin) == hash(node)
+
+    def test_replace_keeps_the_operator(self):
+        z = Atom("z")
+        for op in UNARY:
+            assert dataclasses.replace(op(self.X), operand=z) == op(z)
+        for op in BINARY:
+            assert dataclasses.replace(op(self.X, self.Y), right=z) == op(self.X, z)
+
+    def test_positional_patterns_bind_the_operands(self):
+        for op in UNARY:
+            match op(self.X):
+                case op(operand):
+                    assert operand == self.X
+                case _:
+                    pytest.fail(op.__name__)
+        for op in BINARY:
+            match op(self.X, self.Y):
+                case op(left, right):
+                    assert (left, right) == (self.X, self.Y)
+                case _:
+                    pytest.fail(op.__name__)
+
+    def test_nodes_are_frozen(self):
+        for node in self.nodes():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, dataclasses.fields(node)[0].name, self.Y)
 
 
 def single_state_structure():
