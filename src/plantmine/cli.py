@@ -210,7 +210,24 @@ def _sim_config(args: argparse.Namespace) -> fixture.SimConfig:
                              mutations=frozenset(args.mutate))
 
 
+def _check_syntax(args: argparse.Namespace
+                  ) -> tuple[list[tuple[str, int]], list[verify.Formula]]:
+    """The explicit marking and the CTL formulas, read before any stage runs.
+
+    Only what needs no model is checked here: ``--bound`` and the syntax of
+    ``--marking`` and ``--spec``.  The stages check places and atoms against
+    the model they build.
+    """
+    if getattr(args, "bound", 1) < 1:
+        raise UsageError("bound must be positive")
+    explicit = _parse_marking(getattr(args, "marking", []))
+    if not hasattr(args, "spec"):
+        return explicit, []
+    return explicit, [verify.parse_ctl(text) for text in args.spec or [DEFAULT_SPEC]]
+
+
 def _execute(args: argparse.Namespace) -> int:
+    explicit, formulas = _check_syntax(args)
     # verify and pipeline run every stage and print the report instead
     stages = _Stages(None if args.command in ("verify", "pipeline") else args.command)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -219,20 +236,27 @@ def _execute(args: argparse.Namespace) -> int:
         return args.out / ARTIFACTS[key]
 
     # --- log acquisition ------------------------------------------------
-    if getattr(args, "log", None) is not None:
-        log_path = args.log
+    log_path = getattr(args, "log", None)
+    if log_path is not None:
         log = eventlog.parse_csv(stages.read(log_path))
         stages.done("parse", [log_path])
     else:
         if args.command != "simulate" and not args.fixture:
             raise UsageError("either --log or --fixture is required")
         log = fixture.simulate_two_cylinder(_sim_config(args), args.seed)
+
+    # --- mine: filter, group, export, discover ---------------------------
+    # The component is checked before a simulated log is written.
+    if args.command != "simulate":
+        filtered = eventlog.filter_component(log, args.component)
+        if log and not filtered:
+            present = ", ".join(sorted({event.component for event in log}))
+            raise UsageError(f"--component {args.component!r} matches no event; "
+                             f"the log holds events of {present}")
+    if log_path is None:
         log_path = stages.write(artifact("log"), eventlog.iter_csv(log))
         if stages.done("simulate", []):
             return 0
-
-    # --- mine: filter, group, export, discover ---------------------------
-    filtered = eventlog.filter_component(log, args.component)
     _atomic_write(artifact("filtered"), eventlog.iter_csv(filtered))
     traces = eventlog.group_traces(filtered)
     _atomic_write(artifact("xes"), eventlog.iter_xes(traces))
@@ -245,7 +269,6 @@ def _execute(args: argparse.Namespace) -> int:
 
     # --- reach: strip, mark, explore -------------------------------------
     stripped = petri.strip_boundary(net)
-    explicit = _parse_marking(args.marking)
     if explicit:
         marking = petri.Marking(tuple(explicit))
     elif args.fixture:
@@ -286,7 +309,6 @@ def _execute(args: argparse.Namespace) -> int:
         controller = fixture.fixture_controller()
     else:
         raise UsageError("--controller is required without --fixture")
-    formulas = [verify.parse_ctl(text) for text in args.spec or [DEFAULT_SPEC]]
     document = smv.emit_closed_loop(fb, controller, tuple(formulas))
     smv_path = _atomic_write(artifact("smv"), [document.text])
     model_inputs = [fb_path] + ([args.controller] if args.controller else [])

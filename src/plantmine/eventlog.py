@@ -57,18 +57,6 @@ def format_timestamp(stamp: datetime) -> str:
     return text[:23] + "Z" if stamp.microsecond else text[:19] + "Z"
 
 
-def _is_canonical(text: str) -> bool:
-    """Whether ``text`` has the exact shape :func:`format_timestamp` prints.
-
-    Only the separators are checked: a text of that shape that parses at all
-    denotes a UTC instant whose canonical form is the text itself.
-    """
-    if len(text) == 20:
-        return text[4::3] == "--T::Z"
-    return (len(text) == 24 and text[4:20:3] == "--T::." and text[23] == "Z"
-            and text[20:23] != "000")
-
-
 class Event(NamedTuple):
     """One recorded observation: which component did what, when, in which scenario.
 
@@ -119,6 +107,33 @@ class TraceSet:
         return len(self.traces)
 
 
+# Rows are split a piece of about this many characters at a time, so no list
+# of every line is held at once.
+_PIECE_SIZE = 1 << 16
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """``text`` in consecutive pieces of at least :data:`_PIECE_SIZE` characters.
+
+    Each piece but the last ends just after a ``'\n'``.  A line break ends
+    every row, and ``'\r\n'`` is never cut, so the rows of the pieces, in
+    order, are the rows of ``text``.  Text without ``'\n'`` is one piece.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _PIECE_SIZE) + 1 or size
+        yield text[start:end]
+        start = end
+
+
+def _admit(names: dict[str, str], name: str, kind: str, line_no: int) -> str:
+    """Record ``name``, first seen at ``line_no``, once it matches :data:`NAME_RE`."""
+    if not NAME_RE.match(name):
+        raise MalformedRow(line_no, f"invalid {kind} {name!r}")
+    names[name] = name
+    return name
+
+
 def parse_csv(text: str) -> tuple[Event, ...]:
     """Parse CSV text into its events, in file order.
 
@@ -129,58 +144,67 @@ def parse_csv(text: str) -> tuple[Event, ...]:
     than tab, U+FFFE, U+FFFF or a lone surrogate), checked once per run of
     rows with that id.  Each distinct component or action name is checked
     against :data:`NAME_RE` once, on the first row that carries it.  A
-    timestamp already in canonical form is kept as its own text and read as
-    written; any other is formatted once.
+    timestamp already in canonical form (:func:`format_timestamp`) is kept as
+    its own text and read as written; any other is formatted once.  Rows are
+    split a piece of the text at a time (:func:`_pieces`), so no list of
+    every line is held.
     """
-    lines = text.splitlines()
-    if not lines:
+    pieces = _pieces(text)
+    lines = next(pieces, "").splitlines()
+    if not lines or tuple(name.strip() for name in lines[0].split(",")) != CSV_HEADER:
         raise MissingHeader()
-    header = tuple(name.strip() for name in lines[0].split(","))
-    if header != CSV_HEADER:
-        raise MissingHeader()
+    del lines[0]
 
     # Every name that passed NAME_RE, mapped to itself: events share one
     # string per distinct name, and consecutive rows of one process share
     # their process id.
     valid_names: dict[str, str] = {}
-    previous_id = ""
-    events = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        fields = raw.split(",")
-        if len(fields) != 4:
-            raise MalformedRow(line_no)
-        process_id, stamp_text, component, action = fields
-        if not process_id:
-            raise MalformedRow(line_no, "empty processId")
-        if process_id == previous_id:
-            process_id = previous_id
-        elif _NOT_XML.search(process_id):
-            raise MalformedRow(line_no, f"processId {process_id!r} holds a character "
-                               "XML cannot carry")
-        previous_id = process_id
-        if component in valid_names:
-            component = valid_names[component]
-        elif NAME_RE.match(component):
-            valid_names[component] = component
-        else:
-            raise MalformedRow(line_no, f"invalid component {component!r}")
-        if action in valid_names:
-            action = valid_names[action]
-        elif NAME_RE.match(action):
-            valid_names[action] = action
-        else:
-            raise MalformedRow(line_no, f"invalid action {action!r}")
-        try:
-            if _is_canonical(stamp_text):
-                stamp = datetime.fromisoformat(stamp_text)
-                canonical = stamp_text
+    known = valid_names.get
+    not_xml = _NOT_XML.search
+    read_canonical = datetime.fromisoformat
+    new_event = tuple.__new__  # Event's fields, without its __new__ frame
+    previous_id = None
+    events: list[Event] = []
+    append = events.append
+    line_no = 1
+    while True:
+        for line_no, raw in enumerate(lines, line_no + 1):
+            try:
+                process_id, stamp_text, component, action = raw.split(",")
+            except ValueError:
+                raise MalformedRow(line_no) from None
+            if process_id == previous_id:
+                process_id = previous_id
+            elif not process_id:
+                raise MalformedRow(line_no, "empty processId")
+            elif not_xml(process_id):
+                raise MalformedRow(line_no, f"processId {process_id!r} holds a character "
+                                   "XML cannot carry")
             else:
-                stamp = parse_timestamp(stamp_text)
-                canonical = format_timestamp(stamp)
-        except ValueError:
-            raise BadTimestamp(line_no, stamp_text) from None
-        events.append(Event(process_id, stamp, component, action, canonical))
-    return tuple(events)
+                previous_id = process_id
+            component = known(component) or _admit(valid_names, component, "component", line_no)
+            action = known(action) or _admit(valid_names, action, "action", line_no)
+            # The shapes format_timestamp prints: YYYY-MM-DDTHH:MM:SSZ, with
+            # .mmm before the Z when the milliseconds are not 000.  Only the
+            # separators are checked: a text of that shape that parses at all
+            # denotes a UTC instant whose canonical form is the text itself.
+            length = len(stamp_text)
+            try:
+                if (length == 20 and stamp_text[4::3] == "--T::Z"
+                        or length == 24 and stamp_text[4:20:3] == "--T::."
+                        and stamp_text[23] == "Z" and stamp_text[20:23] != "000"):
+                    stamp = read_canonical(stamp_text)
+                    canonical = stamp_text
+                else:
+                    stamp = parse_timestamp(stamp_text)
+                    canonical = format_timestamp(stamp)
+            except ValueError:
+                raise BadTimestamp(line_no, stamp_text) from None
+            append(new_event(Event, (process_id, stamp, component, action, canonical)))
+        piece = next(pieces, None)
+        if piece is None:
+            return tuple(events)
+        lines = piece.splitlines()
 
 
 def iter_csv(log: tuple[Event, ...]) -> Iterator[str]:
@@ -214,8 +238,13 @@ def group_traces(log: tuple[Event, ...]) -> TraceSet:
     if not log:
         raise EmptyLog()
     grouped: dict[str, list[Event]] = {}
+    known = grouped.get
     for event in log:
-        grouped.setdefault(event.process_id, []).append(event)
+        events = known(event.process_id)
+        if events is None:
+            grouped[event.process_id] = [event]
+        else:
+            events.append(event)
     traces = []
     for process_id, events in grouped.items():
         events.sort(key=_BY_TIME)
@@ -234,19 +263,24 @@ def iter_xes(traces: TraceSet) -> Iterator[str]:
     event_head = {action: ('    <event>\n'
                            f'      <string key="concept:name" value={quoteattr(action)}/>\n')
                   for action in traces.alphabet}
+    undated = {action: f"{head}    </event>\n" for action, head in event_head.items()}
     # canonical stamp texts hold only digits, '-', ':', '.', 'T' and 'Z',
     # so they need no quoting
-    date_head = '      <date key="time:timestamp" value="'
+    dated = {action: f'{head}      <date key="time:timestamp" value="'
+             for action, head in event_head.items()}
     date_tail = '"/>\n    </event>\n'
     yield ('<?xml version="1.0" encoding="UTF-8"?>\n'
            '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n')
     for trace in traces.traces:
         head = f'  <trace>\n    <string key="concept:name" value={quoteattr(trace.process_id)}/>\n'
         if trace.timestamp_texts is None:
-            body = "".join(f"{event_head[a]}    </event>\n" for a in trace.actions)
+            body = "".join(map(undated.__getitem__, trace.actions))
         else:
-            body = "".join(f"{event_head[a]}{date_head}{t}{date_tail}"
-                           for a, t in zip(trace.actions, trace.timestamp_texts))
+            # each event is its action's dated head, its stamp text and date_tail
+            parts = [date_tail] * (3 * len(trace.actions))
+            parts[::3] = map(dated.__getitem__, trace.actions)
+            parts[1::3] = trace.timestamp_texts
+            body = "".join(parts)
         yield f"{head}{body}  </trace>\n"
     yield "</log>\n"
 

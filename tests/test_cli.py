@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from plantmine import cli, discovery
+from plantmine import cli, discovery, eventlog
 from plantmine.cli import main
 from plantmine.fixture import FIXTURE_CONTROLLER_TEXT
 from plantmine.verify import MAX_CTL_DEPTH
@@ -130,6 +130,24 @@ class TestStages:
         assert "mined net" in out
         assert "stages:" in out
         assert "  mine: inputs: log.csv sha256=" in out
+
+    def test_mine_parses_through_the_module_attributes(self, tmp_path, monkeypatch):
+        # a traced run wraps eventlog.parse_csv and group_traces at these attributes
+        log, _, _ = write_inputs(tmp_path)
+        calls = []
+
+        def recording(name):
+            function = getattr(eventlog, name)
+
+            def wrapper(*args):
+                calls.append((name, *map(type, args)))
+                return function(*args)
+            monkeypatch.setattr(eventlog, name, wrapper)
+
+        recording("parse_csv")
+        recording("group_traces")
+        assert run("mine", "--log", str(log), "--out", str(tmp_path / "out")) == 0
+        assert calls == [("parse_csv", str), ("group_traces", tuple)]
 
     def test_mine_wide_alphabet(self, tmp_path):
         log = tmp_path / "log.csv"
@@ -317,6 +335,29 @@ class TestStages:
             argv = argv + ["--log", str(log)]
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--bound", "0"], "bound must be positive"),
+        (["--marking", "p1"], "--marking expects place=count pairs, got 'p1'"),
+        (["--spec", "EF"], "parse error at 2: unexpected end of formula"),
+        (["--component", "XX"], "--component 'XX' matches no event; the log holds events of HC"),
+    ], ids=["zero-bound", "marking-syntax", "spec-syntax", "unknown-component"])
+    def test_option_error_writes_no_artifact(self, tmp_path, capsys, argv, message):
+        # checked before the first stage, so no stage line or artifact appears
+        out = tmp_path / "out"
+        assert run("pipeline", "--fixture", "--traces", "5", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unknown_component_of_a_log_file_is_named(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("processId,timestamp,component,action\n"
+                       "1,2021-05-10T10:00:00Z,VC,EXT\n1,2021-05-10T10:00:01Z,GR,GRIP\n")
+        out = tmp_path / "out"
+        assert run("mine", "--log", str(log), "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("error: --component 'HC' matches no event; "
+                                           "the log holds events of GR, VC\n")
+        assert not any(out.iterdir())
 
     def test_specs_at_nesting_limit_run(self, tmp_path, capsys):
         # AG, MAX_CTL_DEPTH - 3 negations, & and an atom: a tree exactly the limit deep;

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
 
@@ -13,6 +14,7 @@ from plantmine.errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
 from plantmine.eventlog import (Event, TraceSet, export_csv, export_xes,
                                 filter_component, format_timestamp, group_traces,
                                 iter_csv, iter_xes, parse_csv, parse_timestamp)
+from plantmine.fixture import SimConfig, simulate_two_cylinder
 
 HEADER = "processId,timestamp,component,action"
 
@@ -123,6 +125,61 @@ class TestParseCsv:
         with pytest.raises(BadTimestamp) as exc:
             parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT", f"1,{stamp},HC,RET"))
         assert exc.value.line_no == 3
+
+
+# Every row break str.splitlines knows, as README lists them.
+ROW_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029")
+
+
+def random_breaks_text(rng, rows):
+    """The header and ``rows``, each line ended by a random row break."""
+    return "".join(f"{line}{rng.choice(ROW_BREAKS)}" for line in (HEADER, *rows))
+
+
+def parse_error(text):
+    with pytest.raises((MalformedRow, BadTimestamp)) as exc:
+        parse_csv(text)
+    return type(exc.value), exc.value.line_no, str(exc.value)
+
+
+class TestPieces:
+    """Rows split a piece at a time read as rows split from the whole text."""
+
+    @pytest.mark.parametrize("piece_size", [0, 1, 5, 17])
+    def test_small_pieces_give_the_same_events(self, monkeypatch, piece_size):
+        rng = random.Random(31)
+        texts = [random_breaks_text(rng, [f"{rng.choice('123')},{random_stamp(rng)},"
+                                          f"{rng.choice(('HC', 'VC'))},EXT"
+                                          for _ in range(rng.randint(0, 40))])
+                 for _ in range(40)]
+        expected = [parse_csv(text) for text in texts]
+        monkeypatch.setattr(eventlog, "_PIECE_SIZE", piece_size)
+        assert [parse_csv(text) for text in texts] == expected
+        assert sum(len(list(eventlog._pieces(text))) for text in texts) > 3 * len(texts)
+
+    @pytest.mark.parametrize("bad", ["1,2021-05-10T10:00:01Z,HC", "1,not-a-time,HC,EXT", ",,,"],
+                             ids=["column-count", "bad-timestamp", "empty-process-id"])
+    def test_bad_row_reports_its_line_at_every_position(self, monkeypatch, bad):
+        # small pieces put a boundary just before, at the end of and just
+        # after some bad row at each size
+        rng = random.Random(32)
+        rows = [f"1,2021-05-10T10:00:{i:02d}Z,HC,EXT" for i in range(24)]
+        texts = [random_breaks_text(rng, rows[:at] + [bad] + rows[at:]) for at in range(25)]
+        expected = [parse_error(text) for text in texts]
+        assert [line_no for _, line_no, _ in expected] == list(range(2, 27))
+        for piece_size in (1, 29, 40, 64):
+            monkeypatch.setattr(eventlog, "_PIECE_SIZE", piece_size)
+            assert [parse_error(text) for text in texts] == expected
+
+    def test_cr_only_text_is_one_piece_and_crlf_is_never_cut(self, monkeypatch):
+        monkeypatch.setattr(eventlog, "_PIECE_SIZE", 1)
+        text = make_csv("1,2021-05-10T10:00:01Z,HC,EXT").replace("\n", "\r")
+        assert list(eventlog._pieces(text)) == [text]
+        assert len(parse_csv(text)) == 1
+        crlf = text.replace("\r", "\r\n")
+        assert "".join(pieces := list(eventlog._pieces(crlf))) == crlf
+        assert all(piece.endswith("\r\n") for piece in pieces)
 
 
 class TestTimestamps:
@@ -433,3 +490,23 @@ class TestWorkCounters:
         assert calls["format_timestamp"] == 0
         assert calls["quoteattr"] <= len(traces.alphabet) + len(traces)
         assert calls["NAME_RE"] == 7
+
+
+class TestParseMemory:
+    """Memory, not time: tracemalloc counts are deterministic for a seeded log."""
+
+    def test_parse_holds_no_copy_of_the_rows(self):
+        text = export_csv(simulate_two_cylinder(SimConfig(n_traces=6000), seed=42))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = parse_csv(text)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) > 70_000
+        # the rows are split a piece at a time: the peak rises above what
+        # parsing leaves held by far less than the text's own size
+        assert peak - current < len(text) / 2, (peak - current, len(text))
+        # an Event, its datetime and its stamp text, with names shared
+        assert current - before <= 240 * len(log), (current - before) / len(log)
