@@ -204,30 +204,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sim_config(args: argparse.Namespace) -> fixture.SimConfig:
-    low, high = _parse_cycles(args.cycles)
-    return fixture.SimConfig(n_traces=args.traces, cycles_min=low, cycles_max=high,
-                             mutations=frozenset(args.mutate))
+def _check_syntax(args: argparse.Namespace) -> tuple[
+        fixture.SimConfig | None, list[tuple[str, int]], list[verify.Formula]]:
+    """The simulator config, explicit marking and CTL formulas, read before ``--out`` is made.
 
-
-def _check_syntax(args: argparse.Namespace
-                  ) -> tuple[list[tuple[str, int]], list[verify.Formula]]:
-    """The explicit marking and the CTL formulas, read before any stage runs.
-
-    Only what needs no model is checked here: ``--bound`` and the syntax of
+    The config is ``None`` with ``--log``.  Only what needs no model is
+    checked here: a log source, the files each stage needs without
+    ``--fixture``, the simulator options, ``--bound`` and the syntax of
     ``--marking`` and ``--spec``.  The stages check places and atoms against
     the model they build.
     """
+    config = None
+    if getattr(args, "log", None) is None:
+        if args.command != "simulate" and not args.fixture:
+            raise UsageError("either --log or --fixture is required")
+        low, high = _parse_cycles(args.cycles)
+        config = fixture.SimConfig(n_traces=args.traces, cycles_min=low, cycles_max=high,
+                                   mutations=frozenset(args.mutate))
+    if hasattr(args, "actionmap") and not (args.actionmap or args.fixture):
+        raise UsageError("--actionmap is required without --fixture")
+    if hasattr(args, "controller") and not (args.controller or args.fixture):
+        raise UsageError("--controller is required without --fixture")
     if getattr(args, "bound", 1) < 1:
         raise UsageError("bound must be positive")
     explicit = _parse_marking(getattr(args, "marking", []))
     if not hasattr(args, "spec"):
-        return explicit, []
-    return explicit, [verify.parse_ctl(text) for text in args.spec or [DEFAULT_SPEC]]
+        return config, explicit, []
+    return config, explicit, [verify.parse_ctl(text) for text in args.spec or [DEFAULT_SPEC]]
 
 
 def _execute(args: argparse.Namespace) -> int:
-    explicit, formulas = _check_syntax(args)
+    config, explicit, formulas = _check_syntax(args)
     # verify and pipeline run every stage and print the report instead
     stages = _Stages(None if args.command in ("verify", "pipeline") else args.command)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -241,9 +248,7 @@ def _execute(args: argparse.Namespace) -> int:
         log = eventlog.parse_csv(stages.read(log_path))
         stages.done("parse", [log_path])
     else:
-        if args.command != "simulate" and not args.fixture:
-            raise UsageError("either --log or --fixture is required")
-        log = fixture.simulate_two_cylinder(_sim_config(args), args.seed)
+        log = fixture.simulate_two_cylinder(config, args.seed)
 
     # --- mine: filter, group, export, discover ---------------------------
     # The component is checked before a simulated log is written.
@@ -288,11 +293,9 @@ def _execute(args: argparse.Namespace) -> int:
         # cylinder's rest position instead.
         amap = transform.parse_action_map(stages.read(args.actionmap))
         initial_valuation = {var: False for var in amap.sensor_vars}
-    elif args.fixture:
+    else:
         amap = fixture.fixture_action_map()
         initial_valuation = dict(fixture.INITIAL_VALUATION)
-    else:
-        raise UsageError("--actionmap is required without --fixture")
     fsm = transform.fsm_from_graph(graph)
     fb = transform.build_plant_fb(fsm, amap, initial_valuation,
                                   name=f"{args.component}_PLANT")
@@ -305,10 +308,8 @@ def _execute(args: argparse.Namespace) -> int:
     # --- emit-smv ---------------------------------------------------------
     if args.controller:
         controller = verify.parse_controller(stages.read(args.controller))
-    elif args.fixture:
-        controller = fixture.fixture_controller()
     else:
-        raise UsageError("--controller is required without --fixture")
+        controller = fixture.fixture_controller()
     document = smv.emit_closed_loop(fb, controller, tuple(formulas))
     smv_path = _atomic_write(artifact("smv"), [document.text])
     model_inputs = [fb_path] + ([args.controller] if args.controller else [])

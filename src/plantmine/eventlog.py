@@ -49,43 +49,41 @@ def format_timestamp(stamp: datetime) -> str:
     """Render an instant in the log's canonical UTC form.
 
     ``YYYY-MM-DDTHH:MM:SSZ``, with ``.mmm`` milliseconds before the ``Z``
-    only when the microseconds are non-zero (they are truncated, not
-    rounded).  The year is always four digits.
+    only when the milliseconds are non-zero (microseconds are truncated, not
+    rounded).  The year is always four digits.  So a canonical text names
+    one millisecond instant, and it reads back as itself.
     """
     stamp = stamp.astimezone(timezone.utc)
     text = stamp.isoformat()
-    return text[:23] + "Z" if stamp.microsecond else text[:19] + "Z"
+    return text[:23] + "Z" if stamp.microsecond >= 1000 else text[:19] + "Z"
 
 
 class Event(NamedTuple):
     """One recorded observation: which component did what, when, in which scenario.
 
-    ``timestamp`` is the UTC instant events are ordered by;
-    ``timestamp_text`` is its canonical form (:func:`format_timestamp`),
-    worked out once when the event is made.  The exporters write the text
-    and never format the instant.
+    The fields are the CSV's four columns.  ``timestamp`` is the instant's
+    canonical UTC text (:func:`format_timestamp`), its only stored form: the
+    exporters write it as is and :func:`group_traces` orders events by it.
     """
 
     process_id: str
-    timestamp: datetime
+    timestamp: str
     component: str
     action: str
-    timestamp_text: str
 
 
 @dataclass(frozen=True)
 class Trace:
     """The action sequence of one process scenario, ordered by timestamp.
 
-    :func:`group_traces` fills ``timestamps`` and their canonical texts
-    ``timestamp_texts`` (:func:`format_timestamp`) together; a trace
-    without ``timestamp_texts`` is exported without dates.
+    :func:`group_traces` fills ``timestamps`` with the canonical stamp texts
+    of the actions (:func:`format_timestamp`); a trace without them is
+    exported without dates.
     """
 
     process_id: str
     actions: tuple[str, ...]
-    timestamps: tuple[datetime, ...] | None = None
-    timestamp_texts: tuple[str, ...] | None = None
+    timestamps: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,8 @@ def parse_csv(text: str) -> tuple[Event, ...]:
     than tab, U+FFFE, U+FFFF or a lone surrogate), checked once per run of
     rows with that id.  Each distinct component or action name is checked
     against :data:`NAME_RE` once, on the first row that carries it.  A
-    timestamp already in canonical form (:func:`format_timestamp`) is kept as
-    its own text and read as written; any other is formatted once.  Rows are
+    timestamp already in canonical form (:func:`format_timestamp`) is checked
+    and kept as written; any other is parsed and formatted once.  Rows are
     split a piece of the text at a time (:func:`_pieces`), so no list of
     every line is held.
     """
@@ -161,7 +159,7 @@ def parse_csv(text: str) -> tuple[Event, ...]:
     valid_names: dict[str, str] = {}
     known = valid_names.get
     not_xml = _NOT_XML.search
-    read_canonical = datetime.fromisoformat
+    check_canonical = datetime.fromisoformat
     new_event = tuple.__new__  # Event's fields, without its __new__ frame
     previous_id = None
     events: list[Event] = []
@@ -193,14 +191,12 @@ def parse_csv(text: str) -> tuple[Event, ...]:
                 if (length == 20 and stamp_text[4::3] == "--T::Z"
                         or length == 24 and stamp_text[4:20:3] == "--T::."
                         and stamp_text[23] == "Z" and stamp_text[20:23] != "000"):
-                    stamp = read_canonical(stamp_text)
-                    canonical = stamp_text
+                    check_canonical(stamp_text)
                 else:
-                    stamp = parse_timestamp(stamp_text)
-                    canonical = format_timestamp(stamp)
+                    stamp_text = format_timestamp(parse_timestamp(stamp_text))
             except ValueError:
                 raise BadTimestamp(line_no, stamp_text) from None
-            append(new_event(Event, (process_id, stamp, component, action, canonical)))
+            append(new_event(Event, (process_id, stamp_text, component, action)))
         piece = next(pieces, None)
         if piece is None:
             return tuple(events)
@@ -211,7 +207,7 @@ def iter_csv(log: tuple[Event, ...]) -> Iterator[str]:
     """The CSV schema of ``log``, one line per piece (LF endings)."""
     yield ",".join(CSV_HEADER) + "\n"
     for e in log:
-        yield f"{e.process_id},{e.timestamp_text},{e.component},{e.action}\n"
+        yield f"{e.process_id},{e.timestamp},{e.component},{e.action}\n"
 
 
 def export_csv(log: tuple[Event, ...]) -> str:
@@ -224,16 +220,16 @@ def filter_component(log: tuple[Event, ...], component: str) -> tuple[Event, ...
     return tuple(e for e in log if e.component == component)
 
 
-_BY_TIME = itemgetter(1)  # Event.timestamp
+_STAMP, _ACTION = itemgetter(1), itemgetter(3)  # Event.timestamp, Event.action
 
 
 def group_traces(log: tuple[Event, ...]) -> TraceSet:
     """Group a tuple of events into one trace per process id.
 
-    Within a trace, actions are ordered by timestamp; events with equal
-    timestamps keep their original file order (stable sort).  Traces appear in
-    order of first occurrence of their process id.  An empty log raises
-    :class:`EmptyLog`.
+    Within a trace, actions are ordered by canonical stamp text, which is
+    time order; events with equal stamps keep their original file order
+    (stable sort).  Traces appear in order of first occurrence of their
+    process id.  An empty log raises :class:`EmptyLog`.
     """
     if not log:
         raise EmptyLog()
@@ -246,10 +242,13 @@ def group_traces(log: tuple[Event, ...]) -> TraceSet:
         else:
             events.append(event)
     traces = []
-    for process_id, events in grouped.items():
-        events.sort(key=_BY_TIME)
-        _, stamps, _, actions, texts = zip(*events)
-        traces.append(Trace(process_id, actions, stamps, texts))
+    # Each process's events are released once its trace is built.  Without
+    # its Z, "...:01" is a prefix of "...:01.250" and sorts before it, so the
+    # two canonical widths sort in time order.
+    for process_id in list(grouped):
+        events = grouped.pop(process_id)
+        events.sort(key=lambda event: event[1].rstrip("Z"))
+        traces.append(Trace(process_id, tuple(map(_ACTION, events)), tuple(map(_STAMP, events))))
     return TraceSet(tuple(traces))
 
 
@@ -273,13 +272,13 @@ def iter_xes(traces: TraceSet) -> Iterator[str]:
            '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n')
     for trace in traces.traces:
         head = f'  <trace>\n    <string key="concept:name" value={quoteattr(trace.process_id)}/>\n'
-        if trace.timestamp_texts is None:
+        if trace.timestamps is None:
             body = "".join(map(undated.__getitem__, trace.actions))
         else:
             # each event is its action's dated head, its stamp text and date_tail
             parts = [date_tail] * (3 * len(trace.actions))
             parts[::3] = map(dated.__getitem__, trace.actions)
-            parts[1::3] = trace.timestamp_texts
+            parts[1::3] = trace.timestamps
             body = "".join(parts)
         yield f"{head}{body}  </trace>\n"
     yield "</log>\n"

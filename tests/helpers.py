@@ -10,8 +10,9 @@ by round-based ``pre()`` fixpoints with the same ``stats['rounds']`` hook.
 Two more keep the separate report and SMV formula printers that one renderer
 replaced, to pin its bytes, and one the plant transformation's dict-based
 latch propagation, to pin the tuple-slot version.  The event-log references
-format every timestamp with strftime and quote every name per event, to pin
-the stored stamp texts and the exporters that join them.
+read every stored stamp text back, print its instant with strftime and quote
+every name per event, to pin the stored stamp texts and the exporters that
+join them.
 """
 
 from __future__ import annotations
@@ -918,19 +919,26 @@ def parse_timestamp_reference(text: str) -> datetime:
 def format_timestamp_reference(stamp: datetime) -> str:
     """Render a UTC instant in the log's ISO-8601 style (millisecond precision at most).
 
-    glibc's ``%Y`` does not pad years before 1000 to four digits.
+    The milliseconds are printed only when they are non-zero, so the text
+    names one millisecond instant.  glibc's ``%Y`` does not pad years before
+    1000 to four digits.
     """
     stamp = stamp.astimezone(timezone.utc)
-    if stamp.microsecond:
+    if stamp.microsecond // 1000:
         return stamp.strftime("%Y-%m-%dT%H:%M:%S.") + f"{stamp.microsecond // 1000:03d}Z"
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def reprint_stamp_reference(text: str) -> str:
+    """A stored stamp text read back and printed again by the references."""
+    return format_timestamp_reference(parse_timestamp_reference(text))
 
 
 def export_csv_reference(log: tuple[Event, ...]) -> str:
     """Render an event log back to the CSV schema (LF endings, trailing newline)."""
     lines = [",".join(CSV_HEADER)]
     for event in log:
-        lines.append(",".join((event.process_id, format_timestamp_reference(event.timestamp),
+        lines.append(",".join((event.process_id, reprint_stamp_reference(event.timestamp),
                                event.component, event.action)))
     return "\n".join(lines) + "\n"
 
@@ -946,7 +954,7 @@ def export_xes_reference(traces: TraceSet) -> str:
             lines.append("    <event>")
             lines.append(f'      <string key="concept:name" value={quoteattr(action)}/>')
             if trace.timestamps is not None:
-                stamp = format_timestamp_reference(trace.timestamps[index])
+                stamp = reprint_stamp_reference(trace.timestamps[index])
                 lines.append(f'      <date key="time:timestamp" value={quoteattr(stamp)}/>')
             lines.append("    </event>")
         lines.append("  </trace>")

@@ -341,13 +341,36 @@ class TestStages:
         (["--marking", "p1"], "--marking expects place=count pairs, got 'p1'"),
         (["--spec", "EF"], "parse error at 2: unexpected end of formula"),
         (["--component", "XX"], "--component 'XX' matches no event; the log holds events of HC"),
-    ], ids=["zero-bound", "marking-syntax", "spec-syntax", "unknown-component"])
+        (["mine"], "either --log or --fixture is required"),
+        (["transform", "--log", "{dir}/log.csv", "--marking", "p.HOME_ON..EXT=1"],
+         "--actionmap is required without --fixture"),
+        (["pipeline", "--log", "{dir}/log.csv", "--marking", "p.HOME_ON..EXT=1"],
+         "--actionmap is required without --fixture"),
+        (["emit-smv", "--log", "{dir}/log.csv", "--marking", "p.HOME_ON..EXT=1",
+          "--actionmap", "{dir}/map.txt"], "--controller is required without --fixture"),
+        (["simulate", "--traces", "0"], "n_traces must be at least 1"),
+        (["simulate", "--cycles", "3..1"], "cycles range must be non-empty and positive"),
+        (["simulate", "--cycles", "junk"], "--cycles expects MIN..MAX, got 'junk'"),
+        (["pipeline", "--fixture", "--cycles", "1..x"], "--cycles expects integers, got '1..x'"),
+    ], ids=["zero-bound", "marking-syntax", "spec-syntax", "unknown-component",
+            "no-source", "transform-without-actionmap", "pipeline-without-actionmap",
+            "emit-smv-without-controller", "zero-traces", "empty-cycles", "cycles-syntax",
+            "cycles-integers"])
     def test_option_error_writes_no_artifact(self, tmp_path, capsys, argv, message):
         # checked before the first stage, so no stage line or artifact appears
         out = tmp_path / "out"
-        assert run("pipeline", "--fixture", "--traces", "5", *argv, "--out", str(out)) == 2
+        if argv[0].startswith("--"):
+            argv = ["pipeline", "--fixture", "--traces", "5", *argv]
+        write_inputs(tmp_path)
+        capsys.readouterr()
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert run(*argv, "--out", str(out)) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert not out.exists() or not any(out.iterdir())
+        if argv[-2:] == ["--component", "XX"]:
+            # the only check that needs the log, so it runs once --out is made
+            assert not any(out.iterdir())
+        else:
+            assert not out.exists()
 
     def test_unknown_component_of_a_log_file_is_named(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -460,3 +483,18 @@ class TestDeterminism:
             if name == "report.txt":  # carries wall-clock timings
                 continue
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_mining_its_own_filtered_log_reproduces_it(self, tmp_path):
+        # two instants within one millisecond, in reverse order in the file
+        log = tmp_path / "log.csv"
+        log.write_text("processId,timestamp,component,action\n"
+                       "1,2021-05-10T10:00:01.0009Z,HC,EXT\n"
+                       "1,2021-05-10T10:00:01.0001Z,HC,HOME_OFF\n"
+                       "1,2021-05-10T10:00:02Z,HC,END_ON\n")
+        first, second = tmp_path / "o1", tmp_path / "o2"
+        assert run("mine", "--log", str(log), "--out", str(first)) == 0
+        assert run("mine", "--log", str(first / "filtered.csv"), "--out", str(second)) == 0
+        for name in ("filtered.csv", "log.xes", "net.pnml"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        assert "01Z,HC,EXT\n1,2021-05-10T10:00:01Z,HC,HOME_OFF" in (
+            first / "filtered.csv").read_text()

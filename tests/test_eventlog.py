@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import fields as fields_of
 from datetime import datetime, timezone
 
 import pytest
@@ -31,7 +32,18 @@ class TestParseCsv:
         assert event.process_id == "1"
         assert event.component == "HC"
         assert event.action == "EXT"
-        assert event.timestamp.tzinfo == timezone.utc
+        assert event.timestamp == "2021-05-10T10:00:01Z"
+
+    def test_an_event_holds_each_instant_once_as_text(self):
+        assert Event._fields == ("process_id", "timestamp", "component", "action")
+        log = parse_csv(make_csv("1,2021-05-10T12:00:01.5+02:00,HC,EXT",
+                                 "1,2021-05-10T10:00:02Z,HC,RET"))
+        traces = group_traces(log)
+        fields = [*(f for e in log for f in e),
+                  *(getattr(t, f.name) for t in traces.traces for f in fields_of(t))]
+        assert not any(isinstance(f, datetime) for f in fields)
+        assert [e.timestamp for e in log] == list(traces.traces[0].timestamps) == [
+            "2021-05-10T10:00:01.500Z", "2021-05-10T10:00:02Z"]
 
     def test_header_only_is_empty_log(self):
         assert len(parse_csv(HEADER + "\n")) == 0
@@ -211,13 +223,13 @@ STAMP_CASES = [
 
 
 def stored_stamp(text):
-    """The stamp text and instant ``parse_csv`` keeps for a one-row log, or None if rejected."""
+    """The stamp text ``parse_csv`` keeps for a one-row log, or None if rejected."""
     try:
         event = parse_csv(make_csv(f"1,{text},HC,EXT"))[0]
     except BadTimestamp as exc:
         assert exc.line_no == 2
         return None
-    return event.timestamp_text, event.timestamp
+    return event.timestamp
 
 
 def compare_with_reference(text):
@@ -228,8 +240,11 @@ def compare_with_reference(text):
     except (ValueError, OverflowError):
         assert stored_stamp(text) is None, text
         return "rejected"
-    stored, stamp = stored_stamp(text)
-    assert stamp == instant == parse_timestamp(text), text
+    stored = stored_stamp(text)
+    assert instant == parse_timestamp(text), text
+    # the stored text names the instant truncated to the millisecond
+    stamp = parse_timestamp(stored)
+    assert stamp == instant.replace(microsecond=instant.microsecond // 1000 * 1000), text
     assert stamp.tzinfo is timezone.utc
     try:
         parse_timestamp_reference(expected)
@@ -258,8 +273,7 @@ class TestStampText:
         outcomes = Counter(compare_with_reference(text) for text in texts)
         assert outcomes["compared"] > 2500 and outcomes["padded"] > 0
         # both canonical shapes occur among the inputs
-        kept = Counter(len(text) for text in texts
-                       if (stored := stored_stamp(text)) and stored[0] == text)
+        kept = Counter(len(text) for text in texts if stored_stamp(text) == text)
         assert kept[20] > 50 and kept[24] > 5
 
     def test_canonical_logs_export_unchanged(self):
@@ -306,9 +320,20 @@ class TestGroupTraces:
         traces = group_traces(log)
         assert traces.traces[0].actions == ("EXT", "RET")
 
+    def test_both_stamp_widths_sort_in_time_order(self):
+        log = parse_csv(make_csv("1,2021-05-10T10:00:02Z,HC,d",
+                                 "1,2021-05-10T10:00:01.999Z,HC,c",
+                                 "1,2021-05-10T10:00:01.250Z,HC,b",
+                                 "1,2021-05-10T10:00:01Z,HC,a"))
+        assert group_traces(log).traces[0].actions == ("a", "b", "c", "d")
+
     def test_equal_timestamps_keep_file_order(self):
         log = parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT",
                                  "1,2021-05-10T10:00:01Z,HC,RET"))
+        assert group_traces(log).traces[0].actions == ("EXT", "RET")
+        # instants that agree to the millisecond are equal stamps
+        log = parse_csv(make_csv("1,2021-05-10T10:00:01.0009Z,HC,EXT",
+                                 "1,2021-05-10T10:00:01.0001Z,HC,RET"))
         assert group_traces(log).traces[0].actions == ("EXT", "RET")
 
     def test_empty_log_raises(self):
@@ -350,9 +375,10 @@ class TestGroupTraces:
             rows = []
             for line in range(rng.randint(1, 30)):
                 pid = str(rng.randint(1, 4))
-                second = rng.randint(0, 59)
+                second = rng.randint(0, 9)
+                fraction = rng.choice(("", ".000", ".0004", ".250", ".999"))
                 action = rng.choice("abcd")
-                rows.append(f"{pid},2021-05-10T10:00:{second:02d}Z,HC,{action}")
+                rows.append(f"{pid},2021-05-10T10:00:{second:02d}{fraction}Z,HC,{action}")
             log = parse_csv(make_csv(*rows))
             traces = group_traces(log)
             log_pairs = sorted((e.process_id, e.action) for e in log)
@@ -360,8 +386,11 @@ class TestGroupTraces:
                                  for t in traces.traces for a in t.actions)
             assert log_pairs == trace_pairs
             for trace in traces.traces:
-                stamps = list(trace.timestamps)
-                assert stamps == sorted(stamps)
+                # a stable sort of the process's events by instant
+                events = sorted((e for e in log if e.process_id == trace.process_id),
+                                key=lambda e: parse_timestamp(e.timestamp))
+                assert trace.actions == tuple(e.action for e in events)
+                assert trace.timestamps == tuple(e.timestamp for e in events)
 
 
 class TestExportXes:
@@ -407,6 +436,19 @@ class TestExportCsv:
                                     "2,0999-12-31T23:30:00.250Z,HC,EXT")
         assert parse_csv(exported) == first
 
+    def test_written_stamps_read_back_as_themselves(self, monkeypatch):
+        rng = random.Random(10)
+        stamps = [random_stamp(rng, min_year=1) for _ in range(2000)]
+        stamps += [f"2021-05-10T10:00:01.{fraction}Z" for fraction in (
+            "000001", "0001", "0009", "000999", "0", "000", "000000", "001", "9999")]
+        kept = [stamp for stamp in stamps if stored_stamp(stamp) is not None]
+        assert len(kept) > 1500
+        first = parse_csv(make_csv(*(f"{i % 7},{stamp},HC,EXT" for i, stamp in enumerate(kept))))
+        calls = []
+        monkeypatch.setattr(eventlog, "format_timestamp", calls.append)
+        assert parse_csv(export_csv(first)) == first
+        assert calls == []
+
 
 def random_log_text(rng, rows):
     """A log of mixed stamp shapes and names, with process ids that need XML quoting."""
@@ -442,20 +484,6 @@ class TestExportBytes:
         assert export_xes(fixture_traces) == export_xes_reference(fixture_traces)
 
 
-class Unformattable(datetime):
-    """A datetime that fails the test when anything formats or converts it."""
-
-    def _refuse(self, *args, **kwargs):
-        raise AssertionError("a datetime was formatted")
-
-    strftime = isoformat = astimezone = __format__ = __str__ = _refuse
-
-    @classmethod
-    def of(cls, stamp):
-        return cls(stamp.year, stamp.month, stamp.day, stamp.hour, stamp.minute,
-                   stamp.second, stamp.microsecond, tzinfo=stamp.tzinfo)
-
-
 class TestWorkCounters:
     """Per-event work counted through the module globals on a canonical log."""
 
@@ -482,11 +510,9 @@ class TestWorkCounters:
         assert calls["NAME_RE"] == len(names) == 7
         assert calls["format_timestamp"] == 0  # canonical stamps are kept as read
 
-        # every timestamp refuses to be formatted while exporting
-        spied = tuple(e._replace(timestamp=Unformattable.of(e.timestamp)) for e in log)
-        assert export_csv(spied) == text
-        traces = group_traces(spied)
-        assert export_xes(traces) == export_xes_reference(group_traces(log))
+        assert export_csv(log) == text
+        traces = group_traces(log)
+        assert export_xes(traces) == export_xes_reference(traces)
         assert calls["format_timestamp"] == 0
         assert calls["quoteattr"] <= len(traces.alphabet) + len(traces)
         assert calls["NAME_RE"] == 7
@@ -508,5 +534,19 @@ class TestParseMemory:
         # the rows are split a piece at a time: the peak rises above what
         # parsing leaves held by far less than the text's own size
         assert peak - current < len(text) / 2, (peak - current, len(text))
-        # an Event, its datetime and its stamp text, with names shared
-        assert current - before <= 240 * len(log), (current - before) / len(log)
+        # an Event and its stamp text, with names shared
+        assert current - before <= 180 * len(log), (current - before) / len(log)
+
+    def test_grouping_holds_one_event_list_at_a_time(self):
+        text = export_csv(simulate_two_cylinder(SimConfig(n_traces=6000), seed=42))
+        log = parse_csv(text)
+        tracemalloc.start()
+        try:
+            traces = group_traces(log)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traces) == 6000
+        # each process's event list is released once its trace is built, and
+        # a trace keeps only its actions and stamp texts
+        assert peak - current < len(text) / 4, (peak - current, len(text))

@@ -11,6 +11,21 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
 
 
+def test_tracer_wraps_and_restores_every_traced_name():
+    # in-process, so a renamed or deleted traced function fails at once
+    names = [(module, name) for module, listed in tracing.TRACED.items() for name in listed]
+    originals = [getattr(module, name, None) for module, name in names]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(getattr(module, name) is not original
+                   for (module, name), original in zip(names, originals))
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, name) is original
+               for (module, name), original in zip(names, originals))
+
+
 def traced_metrics(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
