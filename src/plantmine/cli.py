@@ -237,7 +237,6 @@ def _execute(args: argparse.Namespace) -> int:
     config, explicit, formulas = _check_syntax(args)
     # verify and pipeline run every stage and print the report instead
     stages = _Stages(None if args.command in ("verify", "pipeline") else args.command)
-    args.out.mkdir(parents=True, exist_ok=True)
 
     def artifact(key: str) -> Path:
         return args.out / ARTIFACTS[key]
@@ -258,6 +257,8 @@ def _execute(args: argparse.Namespace) -> int:
             present = ", ".join(sorted({event.component for event in log}))
             raise UsageError(f"--component {args.component!r} matches no event; "
                              f"the log holds events of {present}")
+    # Made only now, so an error found while reading the log leaves no --out.
+    args.out.mkdir(parents=True, exist_ok=True)
     if log_path is None:
         log_path = stages.write(artifact("log"), eventlog.iter_csv(log))
         if stages.done("simulate", []):

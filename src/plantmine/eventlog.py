@@ -10,9 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, NamedTuple
-from xml.sax.saxutils import quoteattr
 
 from .errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
 
@@ -25,6 +25,31 @@ NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 # The characters outside XML 1.0's Char production, which no escape can
 # carry: a processId holding one would make log.xes ill-formed.
 _NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+# The escapes of xml.sax.saxutils, whose import loads urllib, http, email and ssl.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                               "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
+def escape(data: str) -> str:
+    """``data`` as XML character data: ``xml.sax.saxutils.escape``, byte for byte."""
+    return data.translate(_TEXT_ESCAPES)
+
+
+def quoteattr(data: str) -> str:
+    """``data`` as a quoted XML attribute value: ``xml.sax.saxutils.quoteattr``, byte for byte.
+
+    Line breaks and tabs become character references.  The value is quoted
+    with ``"`` unless it holds one and no ``'``; holding both, its ``"`` become
+    ``&quot;``.
+    """
+    data = data.translate(_ATTR_ESCAPES)
+    if '"' not in data:
+        return f'"{data}"'
+    if "'" not in data:
+        return f"'{data}'"
+    return '"' + data.replace('"', "&quot;") + '"'
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -147,11 +172,10 @@ def parse_csv(text: str) -> tuple[Event, ...]:
     split a piece of the text at a time (:func:`_pieces`), so no list of
     every line is held.
     """
-    pieces = _pieces(text)
-    lines = next(pieces, "").splitlines()
-    if not lines or tuple(name.strip() for name in lines[0].split(",")) != CSV_HEADER:
+    rows = chain.from_iterable(map(str.splitlines, _pieces(text)))
+    header = next(rows, "")
+    if tuple(name.strip() for name in header.split(",")) != CSV_HEADER:
         raise MissingHeader()
-    del lines[0]
 
     # Every name that passed NAME_RE, mapped to itself: events share one
     # string per distinct name, and consecutive rows of one process share
@@ -164,43 +188,38 @@ def parse_csv(text: str) -> tuple[Event, ...]:
     previous_id = None
     events: list[Event] = []
     append = events.append
-    line_no = 1
-    while True:
-        for line_no, raw in enumerate(lines, line_no + 1):
-            try:
-                process_id, stamp_text, component, action = raw.split(",")
-            except ValueError:
-                raise MalformedRow(line_no) from None
-            if process_id == previous_id:
-                process_id = previous_id
-            elif not process_id:
-                raise MalformedRow(line_no, "empty processId")
-            elif not_xml(process_id):
-                raise MalformedRow(line_no, f"processId {process_id!r} holds a character "
-                                   "XML cannot carry")
+    for line_no, raw in enumerate(rows, 2):
+        try:
+            process_id, stamp_text, component, action = raw.split(",")
+        except ValueError:
+            raise MalformedRow(line_no) from None
+        if process_id == previous_id:
+            process_id = previous_id
+        elif not process_id:
+            raise MalformedRow(line_no, "empty processId")
+        elif not_xml(process_id):
+            raise MalformedRow(line_no, f"processId {process_id!r} holds a character "
+                               "XML cannot carry")
+        else:
+            previous_id = process_id
+        component = known(component) or _admit(valid_names, component, "component", line_no)
+        action = known(action) or _admit(valid_names, action, "action", line_no)
+        # The shapes format_timestamp prints: YYYY-MM-DDTHH:MM:SSZ, with
+        # .mmm before the Z when the milliseconds are not 000.  Only the
+        # separators are checked: a text of that shape that parses at all
+        # denotes a UTC instant whose canonical form is the text itself.
+        length = len(stamp_text)
+        try:
+            if (length == 20 and stamp_text[4::3] == "--T::Z"
+                    or length == 24 and stamp_text[4:20:3] == "--T::."
+                    and stamp_text[23] == "Z" and stamp_text[20:23] != "000"):
+                check_canonical(stamp_text)
             else:
-                previous_id = process_id
-            component = known(component) or _admit(valid_names, component, "component", line_no)
-            action = known(action) or _admit(valid_names, action, "action", line_no)
-            # The shapes format_timestamp prints: YYYY-MM-DDTHH:MM:SSZ, with
-            # .mmm before the Z when the milliseconds are not 000.  Only the
-            # separators are checked: a text of that shape that parses at all
-            # denotes a UTC instant whose canonical form is the text itself.
-            length = len(stamp_text)
-            try:
-                if (length == 20 and stamp_text[4::3] == "--T::Z"
-                        or length == 24 and stamp_text[4:20:3] == "--T::."
-                        and stamp_text[23] == "Z" and stamp_text[20:23] != "000"):
-                    check_canonical(stamp_text)
-                else:
-                    stamp_text = format_timestamp(parse_timestamp(stamp_text))
-            except ValueError:
-                raise BadTimestamp(line_no, stamp_text) from None
-            append(new_event(Event, (process_id, stamp_text, component, action)))
-        piece = next(pieces, None)
-        if piece is None:
-            return tuple(events)
-        lines = piece.splitlines()
+                stamp_text = format_timestamp(parse_timestamp(stamp_text))
+        except ValueError:
+            raise BadTimestamp(line_no, stamp_text) from None
+        append(new_event(Event, (process_id, stamp_text, component, action)))
+    return tuple(events)
 
 
 def iter_csv(log: tuple[Event, ...]) -> Iterator[str]:

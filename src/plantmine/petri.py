@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import BoundExceeded, MarkingRequired, NoBoundary, NotEnabled
+from .eventlog import escape, quoteattr
 
 DEFAULT_BOUND = 10_000
 

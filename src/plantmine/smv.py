@@ -9,10 +9,7 @@ byte-deterministic: LF endings, no tabs, sorted enumerations.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 from .errors import SmvUnsupported, UnknownAtom
 from .transform import FunctionBlock
@@ -50,7 +47,7 @@ def _check_name(name: str, role: str) -> None:
         raise SmvUnsupported(f"{role} {name!r} collides with an SMV keyword")
 
 
-def _choice(targets: list[str]) -> str:
+def _choice(targets: tuple[str, ...] | list[str]) -> str:
     return targets[0] if len(targets) == 1 else "{" + ", ".join(targets) + "}"
 
 
@@ -86,10 +83,7 @@ def emit_plant_module(fb: FunctionBlock) -> str:
         _check_name(name, "identifier")
 
     rules = []
-    # The constructor orders transitions by source, then guard (spontaneous
-    # first), then target, so each group's targets come sorted.
-    for (src, guard), group in groupby(fb.transitions, key=itemgetter(0, 1)):
-        targets = [dst for _, _, dst in group]
+    for (src, guard), targets in fb._targets.items():
         if guard is not None:
             rules.append(f"    pending = {guard} & state = {src} : {_choice(targets)};")
             continue
@@ -97,8 +91,7 @@ def emit_plant_module(fb: FunctionBlock) -> str:
             raise SmvUnsupported(
                 f"state {src!r} has a spontaneous self-loop, which this "
                 "encoding cannot distinguish from a stutter step")
-        insort(targets, src)
-        rules.append(f"    pending = none & state = {src} : {_choice(targets)};")
+        rules.append(f"    pending = none & state = {src} : {_choice(sorted((src, *targets)))};")
 
     true_in: dict[str, list[str]] = {var: [] for var in fb.sensor_vars}
     for state in fb.states:

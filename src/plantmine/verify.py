@@ -666,23 +666,20 @@ def _shortest_violation(k: KripkeStructure, good: frozenset) -> tuple[PathStep, 
     """Breadth-first path from the initial state to the nearest state outside ``good``, if any."""
     if len(good) == len(k.states):  # no state is outside: nothing to search
         return None
+    # States come in discovery order, so the first one outside good is a
+    # nearest, and setdefault keeps each state's first discoverer.
     parents: dict = {k.initial: (None, None)}
-    found = k.initial
-    if found in good:
-        walk = explore(k.initial, k.successors.__getitem__, len(k.states))
-        # the walk ends on discovering a state outside good: setdefault keeps first parents
-        for state, label, found in ((s, label, t) for s, out in walk for label, t in out):
-            parents.setdefault(found, (state, label))
-            if found not in good:
-                break
-        else:
-            return None
-    steps: list[PathStep] = []
-    while found is not None:
-        parent, label = parents[found]
-        steps.append(PathStep(label, found))
-        found = parent
-    return tuple(reversed(steps))
+    for state, out in explore(k.initial, k.successors.__getitem__, len(k.states)):
+        if state not in good:
+            steps: list[PathStep] = []
+            while state is not None:
+                parent, label = parents[state]
+                steps.append(PathStep(label, state))
+                state = parent
+            return tuple(reversed(steps))
+        for label, target in out:
+            parents.setdefault(target, (state, label))
+    return None  # every state outside good is unreachable
 
 
 def check_ctl(k: KripkeStructure, formula: Formula) -> Verdict:

@@ -1,8 +1,11 @@
 import hashlib
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +197,16 @@ class TestStages:
         assert code == 0
         assert (tmp_path / "reachability.dot").exists()
 
+    def test_transform_stops_after_the_plant_block(self, tmp_path, capsys):
+        assert run("transform", "--fixture", "--traces", "5", "--out", str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        stages = [line.split(":")[0].strip() for line in out.split("stages:\n")[1].splitlines()]
+        assert stages == ["simulate", "mine", "reach", "transform"]
+        assert "plant block: 6 states, 6 transitions" in out
+        assert (tmp_path / "plant.fb").read_text().startswith("plantfb v1\n")
+        assert not (tmp_path / "closed_loop.smv").exists()
+        assert not (tmp_path / "report.txt").exists()
+
     def test_transform_requires_actionmap_without_fixture(self, tmp_path):
         run("simulate", "--seed", "7", "--traces", "3", "--out", str(tmp_path))
         code = run("transform", "--log", str(tmp_path / "log.csv"),
@@ -339,6 +352,7 @@ class TestStages:
     @pytest.mark.parametrize("argv, message", [
         (["--bound", "0"], "bound must be positive"),
         (["--marking", "p1"], "--marking expects place=count pairs, got 'p1'"),
+        (["--marking", "p=x"], "--marking count must be an integer: 'p=x'"),
         (["--spec", "EF"], "parse error at 2: unexpected end of formula"),
         (["--component", "XX"], "--component 'XX' matches no event; the log holds events of HC"),
         (["mine"], "either --log or --fixture is required"),
@@ -352,25 +366,26 @@ class TestStages:
         (["simulate", "--cycles", "3..1"], "cycles range must be non-empty and positive"),
         (["simulate", "--cycles", "junk"], "--cycles expects MIN..MAX, got 'junk'"),
         (["pipeline", "--fixture", "--cycles", "1..x"], "--cycles expects integers, got '1..x'"),
-    ], ids=["zero-bound", "marking-syntax", "spec-syntax", "unknown-component",
+        (["mine", "--log", "{dir}/missing.csv"], "cannot read {dir}/missing.csv: [Errno 2] "
+         "No such file or directory: '{dir}/missing.csv'"),
+        (["mine", "--log", "{dir}/bad.csv"], "bad timestamp at line 2: 'notatime'"),
+    ], ids=["zero-bound", "marking-syntax", "marking-count", "spec-syntax", "unknown-component",
             "no-source", "transform-without-actionmap", "pipeline-without-actionmap",
             "emit-smv-without-controller", "zero-traces", "empty-cycles", "cycles-syntax",
-            "cycles-integers"])
+            "cycles-integers", "missing-log", "bad-timestamp"])
     def test_option_error_writes_no_artifact(self, tmp_path, capsys, argv, message):
-        # checked before the first stage, so no stage line or artifact appears
+        # found before the first write, so no stage line or artifact appears
         out = tmp_path / "out"
         if argv[0].startswith("--"):
             argv = ["pipeline", "--fixture", "--traces", "5", *argv]
         write_inputs(tmp_path)
+        (tmp_path / "bad.csv").write_text("processId,timestamp,component,action\n"
+                                          "1,notatime,HC,EXT\n")
         capsys.readouterr()
         argv = [arg.format(dir=tmp_path) for arg in argv]
         assert run(*argv, "--out", str(out)) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        if argv[-2:] == ["--component", "XX"]:
-            # the only check that needs the log, so it runs once --out is made
-            assert not any(out.iterdir())
-        else:
-            assert not out.exists()
+        assert capsys.readouterr() == ("", f"error: {message.format(dir=tmp_path)}\n")
+        assert not out.exists()
 
     def test_unknown_component_of_a_log_file_is_named(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -380,7 +395,7 @@ class TestStages:
         assert run("mine", "--log", str(log), "--out", str(out)) == 2
         assert capsys.readouterr().err == ("error: --component 'HC' matches no event; "
                                            "the log holds events of GR, VC\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_specs_at_nesting_limit_run(self, tmp_path, capsys):
         # AG, MAX_CTL_DEPTH - 3 negations, & and an atom: a tree exactly the limit deep;
@@ -498,3 +513,14 @@ class TestDeterminism:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
         assert "01Z,HC,EXT\n1,2021-05-10T10:00:01Z,HC,HOME_OFF" in (
             first / "filtered.csv").read_text()
+
+
+class TestImports:
+    def test_cli_import_loads_no_network_or_mail_module(self):
+        # xml.sax.saxutils would bring these in, about 40 modules of import time
+        code = ("import sys, plantmine.cli; print(' '.join(sorted({'urllib.request', "
+                "'http.client', 'email', 'ssl'} & set(sys.modules))))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True).stdout
+        assert loaded == "\n"

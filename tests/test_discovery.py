@@ -5,8 +5,9 @@ import pytest
 from plantmine import discovery
 from plantmine.discovery import (Relation, alpha_discover, fitness, footprint,
                                  maximal_pairs, place_id, replay_trace)
-from plantmine.errors import EmptyLog, EmptyTrace, UnknownAction
+from plantmine.errors import EmptyLog, EmptyTrace, NoBoundary, UnknownAction
 from plantmine.eventlog import Trace, TraceSet
+from plantmine.petri import strip_boundary
 
 from helpers import (footprint_oracle, maximal_pairs_oracle, random_sp_traceset,
                      traceset)
@@ -172,6 +173,11 @@ class TestReplay:
         net = alpha_discover(traceset(("a", "b")))
         with pytest.raises(UnknownAction):
             replay_trace(net, Trace("x", ("a", "zz")))
+
+    def test_net_without_boundary_rejected(self):
+        net = strip_boundary(alpha_discover(traceset(("a", "b"))))
+        with pytest.raises(NoBoundary, match="net has no designated source/sink places"):
+            replay_trace(net, Trace("x", ("a", "b")))
 
 
 class TestFitness:

@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 
 import pytest
 from xml.etree import ElementTree
+from xml.sax import saxutils
 
 from helpers import (export_csv_reference, export_xes_reference,
                      format_timestamp_reference, parse_timestamp_reference,
@@ -419,6 +420,16 @@ class TestExportXes:
         from helpers import traceset
         document = export_xes(traceset(("EXT",)))
         assert 'value="EXT"' in document
+
+
+class TestXmlQuoting:
+    def test_random_strings_match_saxutils(self):
+        # the stdlib is the reference; the package avoids importing it
+        rng = random.Random(12)
+        for _ in range(3000):
+            data = "".join(rng.choices("&<>\"'\n\r\tab", k=rng.randint(0, 12)))
+            assert eventlog.escape(data) == saxutils.escape(data), repr(data)
+            assert eventlog.quoteattr(data) == saxutils.quoteattr(data), repr(data)
 
 
 class TestExportCsv:

@@ -100,6 +100,11 @@ class TestNetValidation:
         with pytest.raises(ValueError):
             PetriNet(places=("p", "q"), transitions=("t",), arcs=(("p", "q"),))
 
+    @pytest.mark.parametrize("role", ["source", "sink"])
+    def test_designated_place_must_be_in_the_net(self, role):
+        with pytest.raises(ValueError, match="designated place 'z' is not in the net"):
+            PetriNet(places=("p",), transitions=("t",), arcs=(("p", "t"),), **{role: "z"})
+
 
 class TestTokenGame:
     def test_only_initial_enabled(self, diamond_net):
@@ -120,6 +125,10 @@ class TestTokenGame:
     def test_fire_disabled_raises(self, diamond_net):
         with pytest.raises(NotEnabled):
             fire(diamond_net, Marking.of({"source": 1}), "b")
+
+    def test_fire_unknown_transition_raises(self, diamond_net):
+        with pytest.raises(NotEnabled, match="transition 'zz' is not enabled"):
+            fire(diamond_net, Marking.of({"source": 1}), "zz")
 
     def test_conservation_random(self):
         rng = random.Random(3)

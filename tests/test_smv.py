@@ -207,6 +207,12 @@ class TestRenderSmvFormula:
                 assert (render_smv_formula(formula, fb, ctl)
                         == render_smv_formula_reference(formula, fb, ctl))
 
+    @pytest.mark.parametrize("constant", ["TRUE", "FALSE"])
+    def test_constants_render(self, fixture_fb, constant):
+        formula = parse_ctl(f"AG ({constant} | HOME)")
+        assert (render_smv_formula(formula, fixture_fb, fixture_controller())
+                == f"AG ({constant} | plant.HOME = TRUE)")
+
     @pytest.mark.parametrize("atom", ["plant_state = Q99", "ctl_state = C9", "NOPE"])
     def test_unknown_atom(self, fixture_fb, atom):
         with pytest.raises(UnknownAtom):

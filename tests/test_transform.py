@@ -54,6 +54,16 @@ class TestActionMap:
         with pytest.raises(ParseError, match="classified twice"):
             parse_action_map("".join(f"EXT: {line}\n" for line in lines))
 
+    def test_action_named_ndt_rejected(self):
+        # NDT marks a spontaneous transition in the block format
+        with pytest.raises(ValueError, match="invalid action name 'NDT'"):
+            ActionMap.of(control=("NDT",))
+
+    def test_unknown_sensor_value_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_action_map("EXT: sensor HOME=maybe\n")
+        assert str(exc.value) == "parse error at 1: bad classification 'sensor HOME=maybe'"
+
     def test_invalid_latch_name_rejected(self):
         with pytest.raises(ValueError, match="invalid latch 'HO-ME'"):
             ActionMap.of(sensors={"HOME_ON": ("HO-ME", True)})
@@ -62,6 +72,18 @@ class TestActionMap:
         amap = fixture_action_map()
         with pytest.raises(UnmappedAction):
             amap.effect("FOO")
+
+
+class TestFsm:
+    @pytest.mark.parametrize("states, initial, edges, message", [
+        (("Q0", "Q0"), "Q0", (), "duplicate state names"),
+        (("Q0",), "Q9", (), "initial state 'Q9' not in states"),
+        (("Q0",), "Q0", (("Q0", "EXT", "Q9"),), "edge (Q0, EXT, Q9) has unknown endpoint"),
+    ], ids=["duplicate", "initial", "endpoint"])
+    def test_rejected(self, states, initial, edges, message):
+        with pytest.raises(ValueError) as exc:
+            FSM(states=states, initial=initial, edges=edges)
+        assert str(exc.value) == message
 
 
 class TestFsmFromGraph:
@@ -150,6 +172,14 @@ class TestBuildPlantFb:
         mids = [s.name for s in fb.states if s.name not in ("Q0", "Q1")]
         assert len(mids) == 1
         assert fb.emission(mids[0]) == "HOME_ON"
+
+    def test_intermediate_name_avoids_a_taken_state(self):
+        fsm = FSM(states=("Q0", "Q1", "Q0__HOME_ON__Q1"), initial="Q0",
+                  edges=(("Q0", "EXT", "Q1"), ("Q0", "HOME_ON", "Q1")))
+        fb = build_plant_fb(fsm, fixture_action_map(), INITIAL_VALUATION)
+        assert fb.emission("Q0__HOME_ON__Q1") is None
+        assert fb.emission("Q0__HOME_ON__Q1_i") == "HOME_ON"
+        assert ("Q0", None, "Q0__HOME_ON__Q1_i") in fb.transitions
 
     def test_no_sensor_edges(self):
         fsm = FSM(states=("Q0", "Q1"), initial="Q0",
@@ -359,6 +389,23 @@ class TestFbDocument:
                       f"state Q0 emit=- {latches}\n")
         assert fb.sensor_vars == tuple(sorted(var.split("=")[0] for var in latches.split()))
 
+    @pytest.mark.parametrize("text, message", [
+        ("state Q1 HOME=true", "parse error at 6: state line missing emit="),
+        ("state Q1 emit=- HOME=yes", "parse error at 6: bad latch value 'HOME=yes'"),
+        ("transition Q0 Q1", "parse error at 6: unrecognized line 'transition Q0 Q1'"),
+    ], ids=["no-emit", "latch-value", "unrecognized"])
+    def test_bad_line_rejected(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_fb(f"plantfb v1\nname P\ninputs\noutputs\ninitial Q0\n{text}\n")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("line", ["name P", "initial Q0"])
+    def test_missing_name_or_initial_rejected(self, line):
+        text = "plantfb v1\nname P\ninputs\noutputs\ninitial Q0\nstate Q0 emit=-\n"
+        with pytest.raises(ParseError) as exc:
+            parse_fb(text.replace(f"{line}\n", ""))
+        assert str(exc.value) == "parse error at 0: missing name or initial declaration"
+
     @pytest.mark.parametrize("line", ["name Q", "inputs", "outputs X", "sensors", "initial Q0"])
     def test_repeated_declaration_rejected(self, line):
         text = ("plantfb v1\nname P\ninputs\noutputs\nsensors B\ninitial Q0\n"
@@ -398,6 +445,22 @@ class TestNames:
                           states=(EccState("Q0", None, frozenset()),
                                   EccState("Q1", None, frozenset())),
                           initial_state="Q0", transitions=(("Q0", "NDT", "Q1"),))
+
+    @pytest.mark.parametrize("given, message", [
+        ({"initial_state": "Q9"}, "initial state 'Q9' missing"),
+        ({"states": (EccState("Q0", "EXT", frozenset()), EccState("Q1", None, frozenset()))},
+         "state 'Q0' emits unknown event"),
+        ({"transitions": (("Q0", None, "Q9"),)}, "transition (Q0, None, Q9) has unknown endpoint"),
+        ({"transitions": (("Q0", "HOME_ON", "Q1"),)}, "guard 'HOME_ON' is not an event input"),
+    ], ids=["initial", "emission", "endpoint", "guard"])
+    def test_inconsistent_block_rejected(self, given, message):
+        fields = {"name": "P", "event_inputs": ("EXT",), "event_outputs": ("HOME_ON",),
+                  "sensor_vars": (), "initial_state": "Q0",
+                  "states": (EccState("Q0", None, frozenset()), EccState("Q1", None, frozenset())),
+                  "transitions": (("Q0", "EXT", "Q1"),), **given}
+        with pytest.raises(ValueError) as exc:
+            FunctionBlock(**fields)
+        assert str(exc.value) == message
 
     def test_state_named_twice_rejected(self):
         state = EccState("Q0", None, frozenset())

@@ -72,6 +72,28 @@ class TestParseController:
         with pytest.raises(ValueError, match="invalid name"):
             ControllerFSM(initial=declared["states"][0], transitions=(), **declared)
 
+    @pytest.mark.parametrize("declared, error, message", [
+        ({"initial": "C9"}, ValueError, "initial state 'C9' not declared"),
+        ({"outputs": ("G", "S")}, ValueError, "controller inputs and outputs overlap"),
+        ({"transitions": (("C0", "S", "X", "C0"),)}, UndeclaredEvent,
+         "event 'X' is not declared"),
+    ], ids=["undeclared-initial", "overlap", "undeclared-output"])
+    def test_constructor_rejects_inconsistent_declarations(self, declared, error, message):
+        fields = {"states": ("C0",), "initial": "C0", "inputs": ("S",), "outputs": ("G",),
+                  "transitions": (), **declared}
+        with pytest.raises(error) as exc:
+            ControllerFSM(**fields)
+        assert str(exc.value) == message
+
+    def test_blank_and_comment_lines_skipped(self):
+        text = FIXTURE_CONTROLLER_TEXT.replace("\n", "\n\n# note\n  \n", 2)
+        assert parse_controller(text) == fixture_controller()
+
+    def test_two_initial_states_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_controller("states: C0 C1\ninitial: C0 C1\ninputs: S\noutputs: G\n")
+        assert str(exc.value) == "parse error at 0: exactly one initial state expected"
+
     def test_bad_declared_name_reported_at_position_zero(self):
         with pytest.raises(ParseError, match="invalid name") as exc:
             parse_controller("states: C0\ninitial: C0\ninputs: S-1\noutputs: G\n")
@@ -204,6 +226,7 @@ class TestParseCtl:
         ("E [ p q ]", 6, "expected 'U'"),
         ("AG (p", 5, "expected ')'"),
         ("HOME = ->", 9, "bad comparison value '->'"),
+        ("HOME =", 6, "unexpected end of formula"),
         ("p q", 2, "trailing input 'q'"),
     ])
     def test_error_position_and_reason(self, text, position, reason):
@@ -225,6 +248,13 @@ class TestParseCtl:
         for _ in range(200):
             formula = random_formula(rng, ("p", "q", "r"), depth=3)
             assert parse_ctl(render_ctl(formula)) == formula
+
+    @pytest.mark.parametrize("text, value", [("TRUE", True), ("FALSE", False)])
+    def test_constants_round_trip(self, text, value):
+        formula = parse_ctl(f"AG ({text} | HOME)")
+        assert formula == AG(Or(Const(value), Atom("HOME")))
+        assert render_ctl(formula) == f"AG ({text} | HOME)"
+        assert parse_ctl(render_ctl(formula)) == formula
 
     def test_sensor_exclusion_renders_exactly(self):
         assert render_ctl(parse_ctl("AG !(HOME & END)")) == "AG !(HOME & END)"
@@ -335,6 +365,22 @@ class TestKripkeStructure:
             KripkeStructure(states=("a", "a"), initial="a",
                             successors={"a": (("stay", "a"),)},
                             labels={}, atoms=frozenset())
+
+    # the contracts of a hand-built structure
+    @pytest.mark.parametrize("given, message", [
+        ({"initial": "z"}, "initial state missing from state set"),
+        ({"successors": {"a": (("go", "b"),), "b": ()}}, "state 'b' has no successor"),
+        ({"successors": {"a": (("go", "z"),), "b": (("stay", "b"),)}},
+         "successor of 'a' outside the state set"),
+        ({"labels": {"b": frozenset({"q"})}}, "labels of 'b' not declared as atoms"),
+    ], ids=["initial", "no-successor", "foreign-successor", "undeclared-label"])
+    def test_malformed_structure_rejected(self, given, message):
+        fields = {"states": ("a", "b"), "initial": "a",
+                  "successors": {"a": (("go", "b"),), "b": (("stay", "b"),)},
+                  "labels": {"a": frozenset({"p"})}, "atoms": frozenset({"p"}), **given}
+        with pytest.raises(ValueError) as exc:
+            KripkeStructure(**fields)
+        assert str(exc.value) == message
 
 
 class TestCheckCtl:
