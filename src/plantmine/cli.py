@@ -254,7 +254,7 @@ def _execute(args: argparse.Namespace) -> int:
     if args.command != "simulate":
         filtered = eventlog.filter_component(log, args.component)
         if log and not filtered:
-            present = ", ".join(sorted({event.component for event in log}))
+            present = ", ".join(sorted({component for _, _, component, _ in log}))
             raise UsageError(f"--component {args.component!r} matches no event; "
                              f"the log holds events of {present}")
     # Made only now, so an error found while reading the log leaves no --out.

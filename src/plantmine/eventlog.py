@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, TypeAlias
 
 from .errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
 
@@ -83,22 +83,17 @@ def format_timestamp(stamp: datetime) -> str:
     return text[:23] + "Z" if stamp.microsecond >= 1000 else text[:19] + "Z"
 
 
-class Event(NamedTuple):
-    """One recorded observation: which component did what, when, in which scenario.
-
-    The fields are the CSV's four columns.  ``timestamp`` is the instant's
-    canonical UTC text (:func:`format_timestamp`), its only stored form: the
-    exporters write it as is and :func:`group_traces` orders events by it.
-    """
-
-    process_id: str
-    timestamp: str
-    component: str
-    action: str
+#: One recorded observation: which component did what, when, in which
+#: scenario.  An event is a plain tuple of the CSV's four columns, in this
+#: order: ``(process_id, timestamp, component, action)``; read it by
+#: unpacking.  ``timestamp`` is the instant's canonical UTC text
+#: (:func:`format_timestamp`), its only stored form: the exporters write it
+#: as is and :func:`group_traces` orders events by it.  A plain tuple of
+#: strings costs one allocation, and the cyclic collector stops tracking it.
+Event: TypeAlias = tuple[str, str, str, str]
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """The action sequence of one process scenario, ordered by timestamp.
 
     :func:`group_traces` fills ``timestamps`` with the canonical stamp texts
@@ -184,7 +179,6 @@ def parse_csv(text: str) -> tuple[Event, ...]:
     known = valid_names.get
     not_xml = _NOT_XML.search
     check_canonical = datetime.fromisoformat
-    new_event = tuple.__new__  # Event's fields, without its __new__ frame
     previous_id = None
     events: list[Event] = []
     append = events.append
@@ -218,15 +212,15 @@ def parse_csv(text: str) -> tuple[Event, ...]:
                 stamp_text = format_timestamp(parse_timestamp(stamp_text))
         except ValueError:
             raise BadTimestamp(line_no, stamp_text) from None
-        append(new_event(Event, (process_id, stamp_text, component, action)))
+        append((process_id, stamp_text, component, action))
     return tuple(events)
 
 
 def iter_csv(log: tuple[Event, ...]) -> Iterator[str]:
     """The CSV schema of ``log``, one line per piece (LF endings)."""
     yield ",".join(CSV_HEADER) + "\n"
-    for e in log:
-        yield f"{e.process_id},{e.timestamp},{e.component},{e.action}\n"
+    for process_id, stamp, component, action in log:
+        yield f"{process_id},{stamp},{component},{action}\n"
 
 
 def export_csv(log: tuple[Event, ...]) -> str:
@@ -236,10 +230,16 @@ def export_csv(log: tuple[Event, ...]) -> str:
 
 def filter_component(log: tuple[Event, ...], component: str) -> tuple[Event, ...]:
     """The events of one component, in their order in ``log``."""
-    return tuple(e for e in log if e.component == component)
+    return tuple(e for e in log if e[2] == component)  # an event's component
 
 
-_STAMP, _ACTION = itemgetter(1), itemgetter(3)  # Event.timestamp, Event.action
+_STAMP, _ACTION = itemgetter(1), itemgetter(3)  # an event's timestamp and action
+
+
+def _stamp_time(event: Event) -> str:
+    # Without its Z, "...:01" is a prefix of "...:01.250" and sorts before
+    # it, so the two canonical widths sort in time order.
+    return event[1].rstrip("Z")
 
 
 def group_traces(log: tuple[Event, ...]) -> TraceSet:
@@ -247,26 +247,29 @@ def group_traces(log: tuple[Event, ...]) -> TraceSet:
 
     Within a trace, actions are ordered by canonical stamp text, which is
     time order; events with equal stamps keep their original file order
-    (stable sort).  Traces appear in order of first occurrence of their
-    process id.  An empty log raises :class:`EmptyLog`.
+    (stable sort).  When every stamp in the log has one width, the texts
+    are compared as they are; otherwise each is compared without its ``Z``,
+    so a whole second sorts before its own milliseconds.  Traces appear in
+    order of first occurrence of their process id.  An empty log raises
+    :class:`EmptyLog`.
     """
     if not log:
         raise EmptyLog()
     grouped: dict[str, list[Event]] = {}
     known = grouped.get
     for event in log:
-        events = known(event.process_id)
+        events = known(event[0])
         if events is None:
-            grouped[event.process_id] = [event]
+            grouped[event[0]] = [event]
         else:
             events.append(event)
+    # Canonical texts of one width sort in time order as they are.
+    by_time = _STAMP if len(set(map(len, map(_STAMP, log)))) == 1 else _stamp_time
     traces = []
-    # Each process's events are released once its trace is built.  Without
-    # its Z, "...:01" is a prefix of "...:01.250" and sorts before it, so the
-    # two canonical widths sort in time order.
+    # Each process's events are released once its trace is built.
     for process_id in list(grouped):
         events = grouped.pop(process_id)
-        events.sort(key=lambda event: event[1].rstrip("Z"))
+        events.sort(key=by_time)
         traces.append(Trace(process_id, tuple(map(_ACTION, events)), tuple(map(_STAMP, events))))
     return TraceSet(tuple(traces))
 

@@ -74,7 +74,7 @@ def simulate_two_cylinder(cfg: SimConfig, seed: int) -> tuple[Event, ...]:
             actions = [a for a in actions if a not in _SENSOR_OFF]
         for action in actions:
             stamp = DEFAULT_BASE_TIME + timedelta(seconds=step)
-            events.append(Event(process_id, format_timestamp(stamp), COMPONENT, action))
+            events.append((process_id, format_timestamp(stamp), COMPONENT, action))
             step += 1
     return tuple(events)
 

@@ -22,7 +22,6 @@ from collections import deque
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import Mapping
-from xml.sax.saxutils import quoteattr
 
 from plantmine.eventlog import CSV_HEADER, Event, Trace, TraceSet
 from plantmine.errors import BoundExceeded, InconsistentLabeling, UnknownAtom
@@ -937,14 +936,17 @@ def reprint_stamp_reference(text: str) -> str:
 def export_csv_reference(log: tuple[Event, ...]) -> str:
     """Render an event log back to the CSV schema (LF endings, trailing newline)."""
     lines = [",".join(CSV_HEADER)]
-    for event in log:
-        lines.append(",".join((event.process_id, reprint_stamp_reference(event.timestamp),
-                               event.component, event.action)))
+    for process_id, stamp, component, action in log:
+        lines.append(",".join((process_id, reprint_stamp_reference(stamp), component, action)))
     return "\n".join(lines) + "\n"
 
 
 def export_xes_reference(traces: TraceSet) -> str:
     """Render a trace set as a minimal XES document, four list entries per event."""
+    # Imported here, its only user: xml.sax.saxutils loads urllib, http,
+    # email and ssl, which no other helper needs.
+    from xml.sax.saxutils import quoteattr
+
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">']
     for trace in traces.traces:

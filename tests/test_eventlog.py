@@ -1,8 +1,8 @@
+import gc
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import fields as fields_of
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from xml.etree import ElementTree
@@ -13,7 +13,7 @@ from helpers import (export_csv_reference, export_xes_reference,
                      random_stamp)
 from plantmine import cli, eventlog
 from plantmine.errors import BadTimestamp, EmptyLog, MalformedRow, MissingHeader
-from plantmine.eventlog import (Event, TraceSet, export_csv, export_xes,
+from plantmine.eventlog import (Trace, TraceSet, export_csv, export_xes,
                                 filter_component, format_timestamp, group_traces,
                                 iter_csv, iter_xes, parse_csv, parse_timestamp)
 from plantmine.fixture import SimConfig, simulate_two_cylinder
@@ -28,30 +28,24 @@ def make_csv(*rows):
 class TestParseCsv:
     def test_single_row_echoes_fields(self):
         log = parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT"))
-        assert len(log) == 1
-        event = log[0]
-        assert event.process_id == "1"
-        assert event.component == "HC"
-        assert event.action == "EXT"
-        assert event.timestamp == "2021-05-10T10:00:01Z"
+        assert log == (("1", "2021-05-10T10:00:01Z", "HC", "EXT"),)
 
     def test_an_event_holds_each_instant_once_as_text(self):
-        assert Event._fields == ("process_id", "timestamp", "component", "action")
         log = parse_csv(make_csv("1,2021-05-10T12:00:01.5+02:00,HC,EXT",
                                  "1,2021-05-10T10:00:02Z,HC,RET"))
         traces = group_traces(log)
-        fields = [*(f for e in log for f in e),
-                  *(getattr(t, f.name) for t in traces.traces for f in fields_of(t))]
+        fields = [*(f for e in log for f in e), *(f for t in traces.traces for f in t)]
         assert not any(isinstance(f, datetime) for f in fields)
-        assert [e.timestamp for e in log] == list(traces.traces[0].timestamps) == [
-            "2021-05-10T10:00:01.500Z", "2021-05-10T10:00:02Z"]
+        assert log == (("1", "2021-05-10T10:00:01.500Z", "HC", "EXT"),
+                       ("1", "2021-05-10T10:00:02Z", "HC", "RET"))
+        assert traces.traces[0].timestamps == tuple(stamp for _, stamp, _, _ in log)
 
     def test_header_only_is_empty_log(self):
         assert len(parse_csv(HEADER + "\n")) == 0
 
     def test_returns_a_tuple_of_events(self):
         log = parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT", "1,2021-05-10T10:00:02Z,VC,GO"))
-        assert type(log) is tuple and all(type(e) is Event for e in log)
+        assert type(log) is tuple and all(type(e) is tuple for e in log)
         assert type(filter_component(log, "HC")) is tuple
         assert parse_csv(HEADER + "\n") == ()
 
@@ -226,11 +220,11 @@ STAMP_CASES = [
 def stored_stamp(text):
     """The stamp text ``parse_csv`` keeps for a one-row log, or None if rejected."""
     try:
-        event = parse_csv(make_csv(f"1,{text},HC,EXT"))[0]
+        (_, stamp, _, _), = parse_csv(make_csv(f"1,{text},HC,EXT"))
     except BadTimestamp as exc:
         assert exc.line_no == 2
         return None
-    return event.timestamp
+    return stamp
 
 
 def compare_with_reference(text):
@@ -289,7 +283,7 @@ class TestFilterComponent:
                                  "1,2021-05-10T10:00:02Z,VC,DRILL",
                                  "1,2021-05-10T10:00:03Z,HC,RET"))
         filtered = filter_component(log, "HC")
-        assert [e.action for e in filtered] == ["EXT", "RET"]
+        assert [action for _, _, _, action in filtered] == ["EXT", "RET"]
 
     def test_no_match_is_empty(self):
         log = parse_csv(make_csv("1,2021-05-10T10:00:01Z,HC,EXT"))
@@ -382,16 +376,121 @@ class TestGroupTraces:
                 rows.append(f"{pid},2021-05-10T10:00:{second:02d}{fraction}Z,HC,{action}")
             log = parse_csv(make_csv(*rows))
             traces = group_traces(log)
-            log_pairs = sorted((e.process_id, e.action) for e in log)
+            log_pairs = sorted((process_id, action) for process_id, _, _, action in log)
             trace_pairs = sorted((t.process_id, a)
                                  for t in traces.traces for a in t.actions)
             assert log_pairs == trace_pairs
             for trace in traces.traces:
                 # a stable sort of the process's events by instant
-                events = sorted((e for e in log if e.process_id == trace.process_id),
-                                key=lambda e: parse_timestamp(e.timestamp))
-                assert trace.actions == tuple(e.action for e in events)
-                assert trace.timestamps == tuple(e.timestamp for e in events)
+                events = sorted((e for e in log if e[0] == trace.process_id),
+                                key=lambda e: parse_timestamp(e[1]))
+                assert trace.actions == tuple(action for _, _, _, action in events)
+                assert trace.timestamps == tuple(stamp for _, stamp, _, _ in events)
+
+
+def canonical_log(rng, widths, events):
+    """Hand-built events with canonical stamps of the given widths, each action unique.
+
+    The stamps are drawn from a small pool of instants, so equal stamps occur;
+    the action names give each event's file position.
+    """
+    base = datetime(2021, 5, 10, 10, tzinfo=timezone.utc)
+    pool = set()
+    while len(pool) < 6:
+        stamp = format_timestamp(base + timedelta(seconds=rng.randint(0, 9),
+                                                  milliseconds=rng.choice((0, 1, 250, 999))))
+        if len(stamp) in widths:
+            pool.add(stamp)
+    pool = sorted(pool)
+    return tuple((rng.choice("123"), rng.choice(pool), "HC", f"a{i}") for i in range(events))
+
+
+class TestGroupTracesOrder:
+    """Traces equal a stable sort of each process's events by instant."""
+
+    @pytest.mark.parametrize("widths", [{20}, {24}, {20, 24}], ids=["20", "24", "mixed"])
+    def test_random_canonical_logs(self, widths):
+        rng = random.Random(26)
+        for _ in range(60):
+            log = canonical_log(rng, widths, rng.randint(1, 40))
+            traces = group_traces(log)
+            assert [t.process_id for t in traces.traces] == list(dict.fromkeys(e[0] for e in log))
+            for trace in traces.traces:
+                events = sorted((e for e in log if e[0] == trace.process_id),
+                                key=lambda e: parse_timestamp(e[1]))
+                assert trace == (trace.process_id,
+                                 tuple(action for _, _, _, action in events),
+                                 tuple(stamp for _, stamp, _, _ in events))
+
+    def test_one_width_compares_the_texts_as_they_are(self, monkeypatch):
+        rng = random.Random(27)
+        calls = []
+        monkeypatch.setattr(eventlog, "_stamp_time", lambda event: calls.append(event) or event[1])
+        for widths in ({20}, {24}):
+            group_traces(canonical_log(rng, widths, 30))
+        assert calls == []
+        # mixed widths compare each text without its Z
+        log = canonical_log(rng, {20, 24}, 30)
+        group_traces(log)
+        assert sorted(calls) == sorted(log)
+
+    def test_ties_keep_file_order_across_processes(self):
+        log = (("2", "2021-05-10T10:00:01.250Z", "HC", "c"),
+               ("1", "2021-05-10T10:00:01Z", "HC", "a"),
+               ("2", "2021-05-10T10:00:01.250Z", "HC", "b"),
+               ("1", "2021-05-10T10:00:01Z", "HC", "d"),
+               ("2", "2021-05-10T10:00:01Z", "HC", "e"))
+        assert [t.actions for t in group_traces(log).traces] == [("e", "c", "b"), ("a", "d")]
+
+
+class TestTraceTuple:
+    """A trace is a named tuple: (process_id, actions, timestamps=None)."""
+
+    def test_fields_and_default(self):
+        trace = Trace("p", ("a", "b"))
+        assert Trace._fields == ("process_id", "actions", "timestamps")
+        assert trace.timestamps is None and Trace._field_defaults == {"timestamps": None}
+        assert trace == ("p", ("a", "b"), None) and isinstance(trace, tuple)
+        assert repr(trace) == "Trace(process_id='p', actions=('a', 'b'), timestamps=None)"
+
+    def test_equality_and_hashing(self):
+        stamps = ("2021-05-10T10:00:01Z", "2021-05-10T10:00:02Z")
+        dated = Trace("p", ("a", "b"), stamps)
+        assert dated == Trace("p", ("a", "b"), stamps) != Trace("p", ("a", "b"))
+        assert dated != Trace("q", ("a", "b"), stamps)
+        assert hash(dated) == hash(Trace("p", ("a", "b"), stamps))
+        assert len({dated, Trace("p", ("a", "b"), stamps), Trace("p", ("a", "b"))}) == 2
+
+    def test_variants_of_hand_built_traces(self):
+        traces = TraceSet((Trace("1", ("a", "b")), Trace("2", ("b",)),
+                           Trace("3", ("a", "b"), ("2021-05-10T10:00:01Z", "2021-05-10T10:00:02Z")),
+                           Trace("4", ())))
+        assert list(traces.variants) == [("a", "b"), ("b",), ()]
+        assert [[t.process_id for t in group] for group in traces.variants.values()] == [
+            ["1", "3"], ["2"], ["4"]]
+        assert traces.alphabet == {"a", "b"}
+        assert TraceSet(tuple(traces.traces)) == traces
+
+
+class TestPlainEvents:
+    """Events are exact tuples of strings, which the cyclic collector stops tracking."""
+
+    def test_every_source_returns_plain_tuples(self):
+        simulated = simulate_two_cylinder(SimConfig(n_traces=5), seed=26)
+        parsed = parse_csv(export_csv(simulated) + "9,2021-05-10T12:00:01.5+02:00,VC,GO\n")
+        for log in (simulated, parsed, filter_component(parsed, "HC"),
+                    filter_component(parsed, "VC")):
+            assert log and all(type(e) is tuple and len(e) == 4 for e in log)
+            assert all(type(f) is str for e in log for f in e)
+
+    def test_parsed_log_leaves_no_tracked_objects(self):
+        text = export_csv(simulate_two_cylinder(SimConfig(n_traces=2000), seed=42))
+        gc.collect()
+        before = len(gc.get_objects())
+        log = parse_csv(text)
+        gc.collect()
+        assert len(log) > 20_000
+        assert len(gc.get_objects()) - before < 50
 
 
 class TestExportXes:
@@ -517,7 +616,7 @@ class TestWorkCounters:
         monkeypatch.setattr(eventlog, "quoteattr", counting("quoteattr", eventlog.quoteattr))
 
         log = parse_csv(text)
-        names = {e.component for e in log} | {e.action for e in log}
+        names = {name for _, _, component, action in log for name in (component, action)}
         assert calls["NAME_RE"] == len(names) == 7
         assert calls["format_timestamp"] == 0  # canonical stamps are kept as read
 

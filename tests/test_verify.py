@@ -13,9 +13,9 @@ from plantmine.errors import (AlphabetMismatch, BoundExceeded,
 from plantmine.fixture import (FIXTURE_CONTROLLER_TEXT, INITIAL_VALUATION,
                                fixture_action_map, fixture_controller)
 from plantmine.transform import FSM, build_plant_fb
-from plantmine.verify import (AF, AG, AU, AX, EF, EG, EU, EX, MAX_CTL_DEPTH, And, Atom,
-                              CompositeState, Const, ControllerFSM, Implies,
-                              KripkeStructure, Not, Or,
+from plantmine.verify import (AF, AG, AU, AX, EF, EG, EU, EX, MAX_CTL_DEPTH, And, Atom, Binary,
+                              CompositeState, Const, ControllerFSM, Formula, Implies,
+                              KripkeStructure, Not, Or, Unary,
                               PathStep, check_ctl, compose, parse_controller,
                               parse_ctl, render_ctl, satisfying_states)
 
@@ -341,6 +341,25 @@ class TestFormulaNodes:
         for node in self.nodes():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, dataclasses.fields(node)[0].name, self.Y)
+
+
+class TestNotAFormula:
+    """The renderer and the labeling reject a node that is no CTL operator."""
+
+    @pytest.mark.parametrize("formula", ["p", Formula(), Not("p"), And(Atom("p"), None)],
+                             ids=["str", "base", "nested-str", "nested-none"])
+    def test_render_rejects(self, formula):
+        with pytest.raises(TypeError, match="not a formula"):
+            render_ctl(formula)
+
+    @pytest.mark.parametrize("formula", ["p", Formula(), Unary(Atom("p")),
+                                         Binary(Atom("p"), Atom("q")), EF(Not("p"))],
+                             ids=["str", "base", "unary-shape", "binary-shape", "nested-str"])
+    def test_labeling_rejects(self, formula):
+        # Unary and Binary are shapes, not operators: the renderer prints
+        # the first, but no labeling rule covers either
+        with pytest.raises(TypeError, match="not a formula"):
+            satisfying_states(single_state_structure(), formula)
 
 
 def single_state_structure():
