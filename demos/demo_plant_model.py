@@ -3,10 +3,9 @@
 Run with:  python demos/demo_plant_model.py
 """
 
-from plantmine import (alpha_discover, build_plant_fb, filter_component,
-                       fsm_from_graph, group_traces, reachability_graph,
-                       rest_position_marking, simulate_two_cylinder,
-                       strip_boundary)
+from plantmine import (alpha_discover, build_plant_fb, default_initial_marking,
+                       filter_component, fsm_from_graph, group_traces,
+                       reachability_graph, simulate_two_cylinder, strip_boundary)
 from plantmine.eventlog import export_csv
 from plantmine.fixture import INITIAL_VALUATION, SimConfig, fixture_action_map
 from plantmine.transform import export_fb
@@ -33,10 +32,11 @@ print(f"mined: {len(net.places)} places / {len(net.transitions)} transitions")
 
 ###############################################################################
 # For reachability the boundary is removed and the cylinder's rest position
-# (the place feeding the extend command) takes the single token.
+# takes the single token: the place that the log's start activity, EXT, waits
+# on besides the source.
 
 stripped = strip_boundary(net)
-marking = rest_position_marking(stripped)
+marking = default_initial_marking(net)
 print("initial marking:", marking)
 
 graph = reachability_graph(stripped, marking)

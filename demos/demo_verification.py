@@ -4,10 +4,9 @@ Run with:  python demos/demo_verification.py
 """
 
 from plantmine import (alpha_discover, build_plant_fb, check_ctl, compose,
-                       emit_closed_loop, filter_component, fixture_controller,
-                       fsm_from_graph, group_traces, parse_ctl,
-                       reachability_graph, rest_position_marking,
-                       simulate_two_cylinder, strip_boundary)
+                       default_initial_marking, emit_closed_loop, filter_component,
+                       fixture_controller, fsm_from_graph, group_traces, parse_ctl,
+                       reachability_graph, simulate_two_cylinder, strip_boundary)
 from plantmine.fixture import INITIAL_VALUATION, SimConfig, fixture_action_map
 
 
@@ -15,8 +14,8 @@ def plant_from_log(mutations=frozenset()):
     cfg = SimConfig(n_traces=40, mutations=mutations)
     log = simulate_two_cylinder(cfg, seed=42)
     traces = group_traces(filter_component(log, "HC"))
-    stripped = strip_boundary(alpha_discover(traces))
-    graph = reachability_graph(stripped, rest_position_marking(stripped))
+    net = alpha_discover(traces)
+    graph = reachability_graph(strip_boundary(net), default_initial_marking(net))
     return build_plant_fb(fsm_from_graph(graph), fixture_action_map(),
                           INITIAL_VALUATION, name="HC_PLANT")
 

@@ -14,7 +14,7 @@ from .errors import PlantMineError
 from .eventlog import (Event, Trace, TraceSet, export_csv, export_xes, filter_component,
                        group_traces, parse_csv)
 from .fixture import (SimConfig, fixture_action_map, fixture_controller,
-                      rest_position_marking, simulate_two_cylinder)
+                      simulate_two_cylinder)
 from .petri import (Marking, PetriNet, ReachabilityGraph, default_initial_marking,
                     enabled_transitions, export_dot_graph, export_dot_net,
                     export_pnml, fire, reachability_graph, strip_boundary)
@@ -39,6 +39,6 @@ __all__ = [
     "export_xes", "filter_component", "fire", "fitness", "fixture_action_map",
     "fixture_controller", "footprint", "fsm_from_graph", "group_traces",
     "parse_action_map", "parse_controller", "parse_csv", "parse_ctl", "parse_fb",
-    "reachability_graph", "render_ctl", "replay_trace", "rest_position_marking",
-    "satisfying_states", "simulate_two_cylinder", "strip_boundary",
+    "reachability_graph", "render_ctl", "replay_trace", "satisfying_states",
+    "simulate_two_cylinder", "strip_boundary",
 ]

@@ -129,7 +129,10 @@ def _parse_cycles(text: str) -> tuple[int, int]:
         raise UsageError(f"--cycles expects integers, got {text!r}") from None
 
 
-def _parse_marking(specs: list[str]) -> list[tuple[str, int]]:
+def _parse_marking(specs: list[str]) -> petri.Marking | None:
+    """The explicit initial marking, or ``None`` when ``--marking`` is not given."""
+    if not specs:
+        return None
     pairs: list[tuple[str, int]] = []
     for chunk in specs:
         for pair in chunk.split(","):
@@ -140,7 +143,10 @@ def _parse_marking(specs: list[str]) -> list[tuple[str, int]]:
                 pairs.append((place, int(count)))
             except ValueError:
                 raise UsageError(f"--marking count must be an integer: {pair!r}") from None
-    return pairs
+    marking = petri.Marking(tuple(pairs))
+    if not marking.tokens:
+        raise UsageError("--marking holds no token")
+    return marking
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_syntax(args: argparse.Namespace) -> tuple[
-        fixture.SimConfig | None, list[tuple[str, int]], list[verify.Formula]]:
+        fixture.SimConfig | None, petri.Marking | None, list[verify.Formula]]:
     """The simulator config, explicit marking and CTL formulas, read before ``--out`` is made.
 
-    The config is ``None`` with ``--log``.  Only what needs no model is
-    checked here: a log source, the files each stage needs without
-    ``--fixture``, the simulator options, ``--bound`` and the syntax of
-    ``--marking`` and ``--spec``.  The stages check places and atoms against
-    the model they build.
+    The config is ``None`` with ``--log``, the marking without ``--marking``.
+    Only what needs no model is checked here: a log source, the files each
+    stage needs without ``--fixture``, the simulator options, ``--bound``,
+    the counts of ``--marking`` and the syntax of ``--spec``.  The stages
+    check places and atoms against the model they build.
     """
     config = None
     if getattr(args, "log", None) is None:
@@ -275,12 +281,7 @@ def _execute(args: argparse.Namespace) -> int:
 
     # --- reach: strip, mark, explore -------------------------------------
     stripped = petri.strip_boundary(net)
-    if explicit:
-        marking = petri.Marking(tuple(explicit))
-    elif args.fixture:
-        marking = fixture.rest_position_marking(stripped)
-    else:
-        marking = petri.default_initial_marking(stripped)
+    marking = explicit or petri.default_initial_marking(net)
     graph = petri.reachability_graph(stripped, marking, bound=args.bound)
     _atomic_write(artifact("dot"), [petri.export_dot_graph(graph)])
     print(f"reachability: {len(graph.nodes)} markings, {len(graph.edges)} edges "

@@ -16,15 +16,12 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
-from .errors import MarkingRequired
 from .eventlog import Event, format_timestamp
-from .petri import Marking, PetriNet
 from .transform import ActionMap
 from .verify import ControllerFSM, parse_controller
 
 COMPONENT = "HC"
 CYCLE = ("EXT", "HOME_OFF", "END_ON", "RET", "END_OFF", "HOME_ON")
-REST_COMMAND = "EXT"  # issued from the rest position
 
 #: Supported log mutations; ``drop_sensor_off`` deletes the falling sensor
 #: edges, which makes the mined plant model violate the safety property.
@@ -102,16 +99,3 @@ C1 --HOME_OFF/--> C2
 C2 --END_ON/RET--> C3
 C3 --END_OFF/--> C0
 """
-
-
-def rest_position_marking(net: PetriNet) -> Marking:
-    """Initial marking for the stripped mined net: the place feeding the extend command.
-
-    The mined plant cycle has no sourceless place, so the rest position is
-    identified structurally as the unique place whose postset contains the
-    :data:`REST_COMMAND` transition.
-    """
-    feeders = net.preset(REST_COMMAND) if REST_COMMAND in net.transitions else ()
-    if len(feeders) != 1:
-        raise MarkingRequired(f"no single place feeds {REST_COMMAND!r}")
-    return Marking.of({feeders[0]: 1})

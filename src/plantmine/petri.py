@@ -142,15 +142,22 @@ def strip_boundary(net: PetriNet) -> PetriNet:
 
 
 def default_initial_marking(net: PetriNet) -> Marking:
-    """One token in every place with an empty preset.
+    """The rest position of a mined net, where every trace of its log begins.
 
-    Cyclic nets have no such place; they need an explicit marking choice, so
-    this raises :class:`MarkingRequired` rather than guessing one.
+    The alpha net's source feeds exactly the log's start activities, so one
+    token goes on each other place that they wait on.  Raises
+    :class:`NoBoundary` without a source, and :class:`MarkingRequired` when
+    no start activity waits on another place or when they wait on different
+    places, that is, when the traces begin at different points of the net.
     """
-    sourceless = [p for p in net.places if not net.preset(p)]
-    if not sourceless:
-        raise MarkingRequired("no place with an empty preset")
-    return Marking.of({p: 1 for p in sourceless})
+    if net.source is None:
+        raise NoBoundary()
+    waits = {frozenset(net.preset(t)) - {net.source} for t in net.postset(net.source)}
+    if len(waits) > 1:
+        raise MarkingRequired("the start activities wait on different places")
+    if not any(waits):
+        raise MarkingRequired("no start activity waits on a place besides the source")
+    return Marking.of(dict.fromkeys(waits.pop(), 1))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 import pytest
 
-from plantmine import (alpha_discover, build_plant_fb, compose, filter_component,
-                       fixture_action_map, fixture_controller, fsm_from_graph,
-                       group_traces, reachability_graph, rest_position_marking,
+from plantmine import (alpha_discover, build_plant_fb, compose, default_initial_marking,
+                       filter_component, fixture_action_map, fixture_controller,
+                       fsm_from_graph, group_traces, reachability_graph,
                        simulate_two_cylinder, strip_boundary)
 from plantmine.fixture import INITIAL_VALUATION, SimConfig
 
@@ -26,8 +26,8 @@ def fixture_net(fixture_traces):
 
 @pytest.fixture(scope="session")
 def fixture_graph(fixture_net):
-    stripped = strip_boundary(fixture_net)
-    return reachability_graph(stripped, rest_position_marking(stripped))
+    return reachability_graph(strip_boundary(fixture_net),
+                              default_initial_marking(fixture_net))
 
 
 @pytest.fixture(scope="session")

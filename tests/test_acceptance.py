@@ -17,9 +17,9 @@ from plantmine.discovery import (alpha_discover, fitness, footprint,
                                  maximal_pairs)
 from plantmine.eventlog import filter_component, group_traces
 from plantmine.fixture import (INITIAL_VALUATION, SimConfig, fixture_action_map,
-                               fixture_controller, rest_position_marking,
-                               simulate_two_cylinder)
-from plantmine.petri import Marking, reachability_graph, strip_boundary
+                               fixture_controller, simulate_two_cylinder)
+from plantmine.petri import (Marking, default_initial_marking, reachability_graph,
+                             strip_boundary)
 from plantmine.smv import emit_closed_loop
 from plantmine.transform import build_plant_fb, fsm_from_graph
 from plantmine.verify import check_ctl, compose, parse_ctl, satisfying_states
@@ -61,8 +61,7 @@ def test_criterion_2_counterexample_capability(tmp_path, capsys):
         SimConfig(n_traces=200, mutations=frozenset({"drop_sensor_off"})), 42)
     traces = group_traces(filter_component(log, "HC"))
     net = alpha_discover(traces)
-    stripped = strip_boundary(net)
-    graph = reachability_graph(stripped, rest_position_marking(stripped))
+    graph = reachability_graph(strip_boundary(net), default_initial_marking(net))
     fb = build_plant_fb(fsm_from_graph(graph), fixture_action_map(),
                         INITIAL_VALUATION, name="HC_PLANT")
     k = compose(fb, fixture_controller())
@@ -206,8 +205,8 @@ def test_criterion_8_optional_nusmv_agreement(tmp_path, capsys):
     spec = parse_ctl("AG !(HOME & END)")
     log = simulate_two_cylinder(SimConfig(n_traces=50), 42)
     traces = group_traces(filter_component(log, "HC"))
-    stripped = strip_boundary(alpha_discover(traces))
-    graph = reachability_graph(stripped, rest_position_marking(stripped))
+    net = alpha_discover(traces)
+    graph = reachability_graph(strip_boundary(net), default_initial_marking(net))
     fb = build_plant_fb(fsm_from_graph(graph), fixture_action_map(),
                         INITIAL_VALUATION, name="HC_PLANT")
     ctl = fixture_controller()

@@ -161,20 +161,33 @@ class TestStages:
         places = set(re.findall(r'<place id="([^"]+)"', pnml))
         assert places == {"source", "sink"} | {f"p.A{i}..A{i + 1}" for i in range(39)}
 
-    def test_reach_requires_marking_without_fixture(self, tmp_path):
+    def test_reach_marks_the_rest_position_from_the_log(self, tmp_path):
+        # the log's start activity EXT waits on p.HOME_ON..EXT, with or without --fixture
         run("simulate", "--seed", "7", "--traces", "3", "--out", str(tmp_path))
-        code = run("reach", "--log", str(tmp_path / "log.csv"),
-                   "--out", str(tmp_path))
-        assert code == 2  # cyclic net, no sourceless place
+        dots = []
+        for index, extra in enumerate([[], ["--fixture"], ["--marking", "p.HOME_ON..EXT=1"]]):
+            out = tmp_path / f"out{index}"
+            assert run("reach", "--log", str(tmp_path / "log.csv"), *extra,
+                       "--out", str(out)) == 0
+            dots.append((out / "reachability.dot").read_bytes())
+        assert dots[0] == dots[1] == dots[2]
+        assert b"M0 {p.HOME_ON..EXT=1}" in dots[0]
 
     @pytest.mark.parametrize("argv, reason", [
-        (["reach", "--log", "{log}"], "no place with an empty preset"),
+        (["reach", "--log", "{dir}/log.csv"],
+         "no start activity waits on a place besides the source"),
         (["pipeline", "--fixture", "--traces", "1", "--cycles", "1..1"],
-         "no single place feeds 'EXT'"),  # the fixture's rest-position rule
-    ], ids=["sourceless", "fixture"])
+         "no start activity waits on a place besides the source"),
+        (["reach", "--log", "{dir}/starts.csv"], "the start activities wait on different places"),
+    ], ids=["sourceless", "fixture", "different-starts"])
     def test_missing_marking_names_its_rule(self, tmp_path, capsys, argv, reason):
-        run("simulate", "--seed", "7", "--traces", "3", "--out", str(tmp_path))
-        argv = [arg.format(log=tmp_path / "log.csv") for arg in argv]
+        # one trace of one cycle never comes back to where it began
+        run("simulate", "--seed", "7", "--traces", "1", "--cycles", "1..1",
+            "--out", str(tmp_path))
+        (tmp_path / "starts.csv").write_text("processId,timestamp,component,action\n" + "".join(
+            f"{pid},2021-05-10T10:00:{step:02d}Z,HC,{action}\n" for step, (pid, action) in
+            enumerate([("1", a) for a in "XAYBXAYB"] + [("2", a) for a in "YBXAYB"])))
+        argv = [arg.format(dir=tmp_path) for arg in argv]
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
         assert (f"error: {reason}; an explicit initial marking is required\n"
                 in capsys.readouterr().err)
@@ -353,6 +366,11 @@ class TestStages:
         (["--bound", "0"], "bound must be positive"),
         (["--marking", "p1"], "--marking expects place=count pairs, got 'p1'"),
         (["--marking", "p=x"], "--marking count must be an integer: 'p=x'"),
+        (["--marking", "p.HOME_ON..EXT=0"], "--marking holds no token"),
+        (["--marking", "p.HOME_ON..EXT=-1"], "marking needs one non-negative count per place: "
+         "(('p.HOME_ON..EXT', -1),)"),
+        (["--marking", "p.HOME_ON..EXT=1,p.HOME_ON..EXT=0"], "marking needs one non-negative "
+         "count per place: (('p.HOME_ON..EXT', 1), ('p.HOME_ON..EXT', 0))"),
         (["--spec", "EF"], "parse error at 2: unexpected end of formula"),
         (["--component", "XX"], "--component 'XX' matches no event; the log holds events of HC"),
         (["mine"], "either --log or --fixture is required"),
@@ -369,7 +387,8 @@ class TestStages:
         (["mine", "--log", "{dir}/missing.csv"], "cannot read {dir}/missing.csv: [Errno 2] "
          "No such file or directory: '{dir}/missing.csv'"),
         (["mine", "--log", "{dir}/bad.csv"], "bad timestamp at line 2: 'notatime'"),
-    ], ids=["zero-bound", "marking-syntax", "marking-count", "spec-syntax", "unknown-component",
+    ], ids=["zero-bound", "marking-syntax", "marking-count", "zero-marking", "negative-marking",
+            "repeated-place", "spec-syntax", "unknown-component",
             "no-source", "transform-without-actionmap", "pipeline-without-actionmap",
             "emit-smv-without-controller", "zero-traces", "empty-cycles", "cycles-syntax",
             "cycles-integers", "missing-log", "bad-timestamp"])

@@ -2,12 +2,10 @@ import re
 
 import pytest
 
-from plantmine.errors import MarkingRequired
 from plantmine.eventlog import export_csv, filter_component, group_traces
 from plantmine.fixture import (CYCLE, MUTATIONS, SimConfig, fixture_action_map,
-                               fixture_controller, rest_position_marking,
-                               simulate_two_cylinder)
-from plantmine.petri import PetriNet, strip_boundary
+                               fixture_controller, simulate_two_cylinder)
+from plantmine.petri import default_initial_marking, strip_boundary
 
 
 class TestSimConfig:
@@ -84,20 +82,12 @@ class TestFixtureController:
 
 class TestRestPositionMarking:
     def test_fixture_marking(self, fixture_net):
+        # the rest position is the one place, besides the source, feeding the extend command
         stripped = strip_boundary(fixture_net)
-        marking = rest_position_marking(stripped)
+        marking = default_initial_marking(fixture_net)
         assert marking.total() == 1
         place = marking.tokens[0][0]
         assert (place, "EXT") in stripped.arcs
-
-    def test_requires_unique_feeder(self):
-        no_extend = PetriNet(places=("p", "q"), transitions=("RET",),
-                             arcs=(("p", "RET"), ("RET", "q")))
-        two_feeders = PetriNet(places=("p", "q"), transitions=("EXT",),
-                               arcs=(("p", "EXT"), ("q", "EXT")))
-        for net in (no_extend, two_feeders):
-            with pytest.raises(MarkingRequired):
-                rest_position_marking(net)
 
 
 def test_closed_loop_satisfies_sensor_exclusion(fixture_kripke):

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import os
 import pickle
 import random
@@ -12,16 +13,19 @@ from xml.etree import ElementTree
 
 import plantmine
 
+from plantmine.cli import _parse_marking
 from plantmine.discovery import alpha_discover, place_id
 from plantmine.errors import (BoundExceeded, MarkingRequired, NoBoundary,
                               NotEnabled)
+from plantmine.eventlog import filter_component, group_traces, parse_csv
+from plantmine.fixture import SimConfig, simulate_two_cylinder
 from plantmine.petri import (Marking, PetriNet, default_initial_marking,
                              enabled_transitions, export_dot_graph,
                              export_dot_net, export_pnml, fire,
                              reachability_graph, strip_boundary)
 
 from helpers import (cylinder_net, random_conservative_net, random_net,
-                     reachability_reference, reachable_markings_oracle)
+                     reachability_reference, reachable_markings_oracle, traceset)
 
 P_AB = place_id({"a"}, {"b"})
 P_AC = place_id({"a"}, {"c"})
@@ -160,21 +164,60 @@ class TestStripBoundary:
             strip_boundary(strip_boundary(diamond_net))
 
 
+def _alpha_choice_workloads():
+    """``perfbench/workloads.py``, loaded read-only by path for its sorter log."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("plantmine_perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look their module up by name
+    return module
+
+
 class TestDefaultInitialMarking:
-    def test_chain_sourceless_place(self):
-        net = PetriNet(places=("p1", "p2"), transitions=("t",),
-                       arcs=(("p1", "t"), ("t", "p2")))
-        assert default_initial_marking(net) == Marking.of({"p1": 1})
+    @pytest.mark.parametrize("mutations", [(), ("drop_sensor_off",)], ids=["clean", "mutated"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7, 42])
+    def test_fixture_rest_position(self, seed, mutations):
+        log = simulate_two_cylinder(SimConfig(n_traces=10, mutations=mutations), seed)
+        net = alpha_discover(group_traces(filter_component(log, "HC")))
+        assert default_initial_marking(net) == Marking.of({"p.HOME_ON..EXT": 1})
 
-    def test_cycle_requires_explicit_marking(self, fixture_net):
-        stripped = strip_boundary(fixture_net)
-        with pytest.raises(MarkingRequired):
-            default_initial_marking(stripped)
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_sorter_matches_the_benchmark_marking(self, tmp_path, seed):
+        argv = _alpha_choice_workloads().make_alpha_choice(seed, 0, tmp_path).args["argv"]
+        log = parse_csv((tmp_path / "log.csv").read_text())
+        net = alpha_discover(group_traces(filter_component(log, "SORTER")))
+        given = argv[argv.index("--marking") + 1]
+        assert default_initial_marking(net) == _parse_marking([given])
 
-    def test_two_sourceless_places(self):
-        net = PetriNet(places=("p1", "p2", "p3"), transitions=("t",),
-                       arcs=(("p1", "t"), ("p2", "t"), ("t", "p3")))
-        assert default_initial_marking(net) == Marking.of({"p1": 1, "p2": 1})
+    def test_shared_place_before_a_starting_choice_gets_one_token(self):
+        net = alpha_discover(traceset(("A", "C", "D", "B", "C", "D"),
+                                      ("B", "C", "D", "A", "C", "D")))
+        assert net.postset("source") == ("A", "B")
+        assert default_initial_marking(net) == Marking.of({"p.D..A.B": 1})
+
+    def test_different_start_points_are_refused(self):
+        # marking both start places would put two tokens on one ring
+        net = alpha_discover(traceset(("X", "A", "Y", "B", "X", "A", "Y", "B"),
+                                      ("Y", "B", "X", "A", "Y", "B")))
+        with pytest.raises(MarkingRequired, match="^the start activities wait on "
+                                                  "different places;"):
+            default_initial_marking(net)
+
+    def test_cycle_requires_explicit_marking(self):
+        # a single cycle never returns to its start, so nothing marks the rest position
+        log = simulate_two_cylinder(SimConfig(n_traces=1, cycles_max=1), 7)
+        net = alpha_discover(group_traces(log))
+        with pytest.raises(MarkingRequired, match="^no start activity waits on a place "
+                                                  "besides the source;"):
+            default_initial_marking(net)
+
+    def test_acyclic_log_is_refused(self):
+        with pytest.raises(MarkingRequired, match="^no start activity waits"):
+            default_initial_marking(alpha_discover(traceset(("A", "B", "C"))))
+
+    def test_net_without_source_raises_no_boundary(self, fixture_net):
+        with pytest.raises(NoBoundary):
+            default_initial_marking(strip_boundary(fixture_net))
 
 
 class TestReachability:

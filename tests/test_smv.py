@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from plantmine import (alpha_discover, filter_component, fsm_from_graph, group_traces,
-                       reachability_graph, rest_position_marking, simulate_two_cylinder,
-                       strip_boundary)
+from plantmine import (alpha_discover, default_initial_marking, filter_component,
+                       fsm_from_graph, group_traces, reachability_graph,
+                       simulate_two_cylinder, strip_boundary)
 from plantmine.errors import AlphabetMismatch, SmvUnsupported, UnknownAtom
 from plantmine.fixture import (INITIAL_VALUATION, SimConfig, fixture_action_map,
                                fixture_controller)
@@ -261,8 +261,8 @@ class TestOfflineAgreement:
     def test_mutated_fixture(self):
         log = simulate_two_cylinder(
             SimConfig(n_traces=12, mutations=frozenset({"drop_sensor_off"})), 42)
-        stripped = strip_boundary(alpha_discover(group_traces(filter_component(log, "HC"))))
-        graph = reachability_graph(stripped, rest_position_marking(stripped))
+        net = alpha_discover(group_traces(filter_component(log, "HC")))
+        graph = reachability_graph(strip_boundary(net), default_initial_marking(net))
         fb = build_plant_fb(fsm_from_graph(graph), fixture_action_map(),
                             INITIAL_VALUATION, name="HC_PLANT")
         ctl = fixture_controller()
