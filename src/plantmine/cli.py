@@ -83,7 +83,8 @@ class _Stages:
     A stage's elapsed time runs from the previous checkpoint, so the stages
     partition the run.  ``done`` returns true when ``name`` is the stage the
     subcommand stops at, after printing the stage lines.  Its inputs went
-    through ``read`` or ``write``, which digest each file's bytes once.
+    through ``read`` or ``write``, which digest each file's bytes once; an
+    input of ``None``, a fixture default, is left off the stage line.
     """
 
     def __init__(self, stop: str | None) -> None:
@@ -108,8 +109,9 @@ class _Stages:
         self.digests[path] = digest.hexdigest()
         return path
 
-    def done(self, name: str, inputs: list[Path]) -> bool:
-        digests = ", ".join(f"{p.name} sha256={self.digests[p]}" for p in inputs) or "-"
+    def done(self, name: str, inputs: list[Path | None]) -> bool:
+        digests = ", ".join(f"{p.name} sha256={self.digests[p]}"
+                            for p in inputs if p is not None) or "-"
         now = time.perf_counter()
         self.lines.append(f"  {name}: inputs: {digests}; elapsed {now - self.clock:.3f}s")
         self.clock = now
@@ -150,75 +152,60 @@ def _parse_marking(specs: list[str]) -> petri.Marking | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line: one option group per stage, shared by the subcommands that run it."""
+    source, sim, reach, model, check, out = (argparse.ArgumentParser(add_help=False)
+                                             for _ in range(6))
+    source.add_argument("--log", type=Path, help="input event log (CSV)")
+    source.add_argument("--fixture", action="store_true",
+                        help="use the simulated two-cylinder fixture as input")
+    source.add_argument("--component", default="HC", help="component to keep (default HC)")
+    sim.add_argument("--seed", type=int, default=42, help="simulator seed")
+    sim.add_argument("--traces", type=int, default=10, help="number of simulated traces")
+    sim.add_argument("--cycles", default="1..3", help="cycles per trace, MIN..MAX")
+    sim.add_argument("--mutate", action="append", default=[],
+                     choices=sorted(fixture.MUTATIONS), help="apply a log mutation")
+    reach.add_argument("--marking", action="append", default=[],
+                       help="initial marking as place=count pairs (comma separated)")
+    reach.add_argument("--bound", type=int, default=petri.DEFAULT_BOUND,
+                       help="state bound for reachability and composition")
+    model.add_argument("--actionmap", type=Path,
+                       help="action map file (defaults to the fixture map with --fixture)")
+    check.add_argument("--controller", type=Path,
+                       help="controller file (defaults to the fixture controller with --fixture)")
+    check.add_argument("--spec", action="append", default=[],
+                       help=f"CTL property (default: {DEFAULT_SPEC!r})")
+    check.add_argument("--strict", action="store_true",
+                       help="treat composition diagnostics as verification failure")
+    check.add_argument("--nusmv", type=Path,
+                       help="optional NuSMV executable; cross-check its verdicts")
+    out.add_argument("--out", type=Path, default=Path("out"),
+                     help="output directory (default ./out)")
+
     parser = argparse.ArgumentParser(
         prog="plantmine",
         description="Mine a plant model from an event log and verify it in closed loop.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--log", type=Path, help="input event log (CSV)")
-        p.add_argument("--fixture", action="store_true",
-                       help="use the simulated two-cylinder fixture as input")
-        p.add_argument("--component", default="HC", help="component to keep (default HC)")
-        add_sim(p)
-
-    def add_sim(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=42, help="simulator seed")
-        p.add_argument("--traces", type=int, default=10, help="number of simulated traces")
-        p.add_argument("--cycles", default="1..3", help="cycles per trace, MIN..MAX")
-        p.add_argument("--mutate", action="append", default=[],
-                       choices=sorted(fixture.MUTATIONS), help="apply a log mutation")
-
-    def add_reach(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--marking", action="append", default=[],
-                       help="initial marking as place=count pairs (comma separated)")
-        p.add_argument("--bound", type=int, default=petri.DEFAULT_BOUND,
-                       help="state bound for reachability and composition")
-
-    def add_transform(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--actionmap", type=Path,
-                       help="action map file (defaults to the fixture map with --fixture)")
-
-    def add_verify(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--controller", type=Path,
-                       help="controller file (defaults to the fixture controller with --fixture)")
-        p.add_argument("--spec", action="append", default=[],
-                       help=f"CTL property (default: {DEFAULT_SPEC!r})")
-        p.add_argument("--strict", action="store_true",
-                       help="treat composition diagnostics as verification failure")
-        p.add_argument("--nusmv", type=Path,
-                       help="optional NuSMV executable; cross-check its verdicts")
-
-    common_out = {"type": Path, "default": Path("out"),
-                  "help": "output directory (default ./out)"}
-
-    p = sub.add_parser("simulate", help="generate a fixture event log")
-    add_sim(p)
-    p.add_argument("--out", **common_out)
-
-    for name, extra in (("mine", []),
-                        ("reach", [add_reach]),
-                        ("transform", [add_reach, add_transform]),
-                        ("emit-smv", [add_reach, add_transform, add_verify]),
-                        ("verify", [add_reach, add_transform, add_verify]),
-                        ("pipeline", [add_reach, add_transform, add_verify])):
-        p = sub.add_parser(name, help=f"run the pipeline through the {name} stage")
-        add_source(p)
-        for adder in extra:
-            adder(p)
-        p.add_argument("--out", **common_out)
+    sub.add_parser("simulate", parents=[sim, out], help="generate a fixture event log")
+    # A stage subcommand takes the groups of every stage up to its own.
+    groups = [source, sim, reach, model, check]
+    for name, count in (("mine", 2), ("reach", 3), ("transform", 4),
+                        ("emit-smv", 5), ("verify", 5), ("pipeline", 5)):
+        sub.add_parser(name, parents=[*groups[:count], out],
+                       help=f"run the pipeline through the {name} stage")
     return parser
 
 
-def _check_syntax(args: argparse.Namespace) -> tuple[
-        fixture.SimConfig | None, petri.Marking | None, list[verify.Formula]]:
-    """The simulator config, explicit marking and CTL formulas, read before ``--out`` is made.
+def _read_inputs(args: argparse.Namespace, stages: _Stages) -> tuple[
+        fixture.SimConfig | None, petri.Marking | None, list[verify.Formula],
+        transform.ActionMap | None, dict[str, bool] | None, verify.ControllerFSM | None]:
+    """Every input but the log, read and checked before ``--out`` is made.
 
-    The config is ``None`` with ``--log``, the marking without ``--marking``.
-    Only what needs no model is checked here: a log source, the files each
-    stage needs without ``--fixture``, the simulator options, ``--bound``,
-    the counts of ``--marking`` and the syntax of ``--spec``.  The stages
-    check places and atoms against the model they build.
+    Returns the simulator config (``None`` with ``--log``), the explicit
+    marking (``None`` without ``--marking``), the CTL formulas, the action map
+    with its latches' rest valuation, and the controller; what the subcommand
+    does not take is ``None`` or empty.  The map and the controller are read
+    through ``stages.read``, or are the fixture's under ``--fixture``.  The
+    stages check places and atoms against the model they build.
     """
     config = None
     if getattr(args, "log", None) is None:
@@ -227,22 +214,36 @@ def _check_syntax(args: argparse.Namespace) -> tuple[
         low, high = _parse_cycles(args.cycles)
         config = fixture.SimConfig(n_traces=args.traces, cycles_min=low, cycles_max=high,
                                    mutations=frozenset(args.mutate))
-    if hasattr(args, "actionmap") and not (args.actionmap or args.fixture):
-        raise UsageError("--actionmap is required without --fixture")
-    if hasattr(args, "controller") and not (args.controller or args.fixture):
-        raise UsageError("--controller is required without --fixture")
     if getattr(args, "bound", 1) < 1:
         raise UsageError("bound must be positive")
     explicit = _parse_marking(getattr(args, "marking", []))
-    if not hasattr(args, "spec"):
-        return config, explicit, []
-    return config, explicit, [verify.parse_ctl(text) for text in args.spec or [DEFAULT_SPEC]]
+    amap = valuation = controller = None
+    formulas = []
+    if hasattr(args, "actionmap"):
+        if args.actionmap:
+            # Custom maps start all latches false; the fixture map carries the
+            # cylinder's rest position instead.
+            amap = transform.parse_action_map(stages.read(args.actionmap))
+            valuation = {var: False for var in amap.sensor_vars}
+        elif args.fixture:
+            amap, valuation = fixture.fixture_action_map(), dict(fixture.INITIAL_VALUATION)
+        else:
+            raise UsageError("--actionmap is required without --fixture")
+    if hasattr(args, "controller"):
+        formulas = [verify.parse_ctl(text) for text in args.spec or [DEFAULT_SPEC]]
+        if args.controller:
+            controller = verify.parse_controller(stages.read(args.controller))
+        elif args.fixture:
+            controller = fixture.fixture_controller()
+        else:
+            raise UsageError("--controller is required without --fixture")
+    return config, explicit, formulas, amap, valuation, controller
 
 
 def _execute(args: argparse.Namespace) -> int:
-    config, explicit, formulas = _check_syntax(args)
     # verify and pipeline run every stage and print the report instead
     stages = _Stages(None if args.command in ("verify", "pipeline") else args.command)
+    config, explicit, formulas, amap, valuation, controller = _read_inputs(args, stages)
 
     def artifact(key: str) -> Path:
         return args.out / ARTIFACTS[key]
@@ -290,31 +291,18 @@ def _execute(args: argparse.Namespace) -> int:
         return 0
 
     # --- transform --------------------------------------------------------
-    if args.actionmap:
-        # Custom maps start all latches false; the fixture map carries the
-        # cylinder's rest position instead.
-        amap = transform.parse_action_map(stages.read(args.actionmap))
-        initial_valuation = {var: False for var in amap.sensor_vars}
-    else:
-        amap = fixture.fixture_action_map()
-        initial_valuation = dict(fixture.INITIAL_VALUATION)
     fsm = transform.fsm_from_graph(graph)
-    fb = transform.build_plant_fb(fsm, amap, initial_valuation,
-                                  name=f"{args.component}_PLANT")
+    fb = transform.build_plant_fb(fsm, amap, valuation, name=f"{args.component}_PLANT")
     fb_path = stages.write(artifact("fb"), [transform.export_fb(fb)])
     print(f"plant block: {len(fb.states)} states, {len(fb.transitions)} transitions, "
           f"inputs {list(fb.event_inputs)}, outputs {list(fb.event_outputs)}")
-    if stages.done("transform", [pnml_path] + ([args.actionmap] if args.actionmap else [])):
+    if stages.done("transform", [pnml_path, args.actionmap]):
         return 0
 
     # --- emit-smv ---------------------------------------------------------
-    if args.controller:
-        controller = verify.parse_controller(stages.read(args.controller))
-    else:
-        controller = fixture.fixture_controller()
     document = smv.emit_closed_loop(fb, controller, tuple(formulas))
     smv_path = _atomic_write(artifact("smv"), [document.text])
-    model_inputs = [fb_path] + ([args.controller] if args.controller else [])
+    model_inputs = [fb_path, args.controller]
     if stages.done("emit-smv", model_inputs):
         return 0
 

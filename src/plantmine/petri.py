@@ -35,7 +35,8 @@ class Marking:
     def __post_init__(self) -> None:
         counts = dict(self.tokens)
         if len(counts) != len(self.tokens) or any(c < 0 for c in counts.values()):
-            raise ValueError(f"marking needs one non-negative count per place: {self.tokens}")
+            # str(self) names the pairs as given: tokens is not yet normalised
+            raise ValueError(f"marking needs one non-negative count per place: {self}")
         tokens = tuple(sorted((p, c) for p, c in counts.items() if c))
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "_hash", hash(tokens))

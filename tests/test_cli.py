@@ -111,6 +111,64 @@ class TestPipeline:
         assert run("pipeline", "--out", str(tmp_path)) == 2
 
 
+# The usage text of the top level and of every subcommand at 100 columns.  The
+# options come in the order of their stage groups: log source, simulator,
+# reach, transform, verify, --out.
+USAGE_AT_100_COLUMNS = {
+    "": """\
+usage: plantmine [-h] {simulate,mine,reach,transform,emit-smv,verify,pipeline} ...
+""",
+    "simulate": """\
+usage: plantmine simulate [-h] [--seed SEED] [--traces TRACES] [--cycles CYCLES]
+                          [--mutate {drop_sensor_off}] [--out OUT]
+""",
+    "mine": """\
+usage: plantmine mine [-h] [--log LOG] [--fixture] [--component COMPONENT] [--seed SEED]
+                      [--traces TRACES] [--cycles CYCLES] [--mutate {drop_sensor_off}] [--out OUT]
+""",
+    "reach": """\
+usage: plantmine reach [-h] [--log LOG] [--fixture] [--component COMPONENT] [--seed SEED]
+                       [--traces TRACES] [--cycles CYCLES] [--mutate {drop_sensor_off}]
+                       [--marking MARKING] [--bound BOUND] [--out OUT]
+""",
+    "transform": """\
+usage: plantmine transform [-h] [--log LOG] [--fixture] [--component COMPONENT] [--seed SEED]
+                           [--traces TRACES] [--cycles CYCLES] [--mutate {drop_sensor_off}]
+                           [--marking MARKING] [--bound BOUND] [--actionmap ACTIONMAP] [--out OUT]
+""",
+    "emit-smv": """\
+usage: plantmine emit-smv [-h] [--log LOG] [--fixture] [--component COMPONENT] [--seed SEED]
+                          [--traces TRACES] [--cycles CYCLES] [--mutate {drop_sensor_off}]
+                          [--marking MARKING] [--bound BOUND] [--actionmap ACTIONMAP]
+                          [--controller CONTROLLER] [--spec SPEC] [--strict] [--nusmv NUSMV]
+                          [--out OUT]
+""",
+    "verify": """\
+usage: plantmine verify [-h] [--log LOG] [--fixture] [--component COMPONENT] [--seed SEED]
+                        [--traces TRACES] [--cycles CYCLES] [--mutate {drop_sensor_off}]
+                        [--marking MARKING] [--bound BOUND] [--actionmap ACTIONMAP]
+                        [--controller CONTROLLER] [--spec SPEC] [--strict] [--nusmv NUSMV]
+                        [--out OUT]
+""",
+    "pipeline": """\
+usage: plantmine pipeline [-h] [--log LOG] [--fixture] [--component COMPONENT] [--seed SEED]
+                          [--traces TRACES] [--cycles CYCLES] [--mutate {drop_sensor_off}]
+                          [--marking MARKING] [--bound BOUND] [--actionmap ACTIONMAP]
+                          [--controller CONTROLLER] [--spec SPEC] [--strict] [--nusmv NUSMV]
+                          [--out OUT]
+""",
+}
+
+
+class TestUsage:
+    @pytest.mark.parametrize("command", list(USAGE_AT_100_COLUMNS))
+    def test_usage_lists_each_stage_group_in_order(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "100")
+        assert run(*command.split(), "--help") == 0
+        out = capsys.readouterr().out
+        assert out[:out.index("\n\n") + 1] == USAGE_AT_100_COLUMNS[command]
+
+
 class TestStages:
     def test_simulate_writes_log(self, tmp_path):
         code = run("simulate", "--seed", "7", "--traces", "3",
@@ -261,6 +319,20 @@ class TestStages:
         assert code == 0
         assert "AG !(HOME & END): HOLDS" in (tmp_path / "report.txt").read_text()
 
+    @pytest.mark.xfail(strict=True,
+                       reason="a file map starts every latch false and build_plant_fb "
+                              "does not re-derive the rest state's valuation on re-entry, "
+                              "so the rest state announces HOME_ON while HOME is false")
+    def test_fixture_map_as_a_file_builds_the_fixture_block(self, tmp_path):
+        # write_inputs gives the fixture's log, its six action-map lines and its controller
+        log, amap, controller = write_inputs(tmp_path)
+        assert run("pipeline", "--fixture", "--seed", "7", "--traces", "5",
+                   "--out", str(tmp_path / "fixture")) == 0
+        assert run("pipeline", "--log", str(log), "--actionmap", str(amap),
+                   "--controller", str(controller), "--out", str(tmp_path / "files")) == 0
+        fixture_fb = (tmp_path / "fixture" / "plant.fb").read_bytes()
+        assert (tmp_path / "files" / "plant.fb").read_bytes() == fixture_fb
+
     def test_byte_order_mark_is_dropped(self, tmp_path):
         paths = write_inputs(tmp_path)
         for path in paths:
@@ -368,9 +440,9 @@ class TestStages:
         (["--marking", "p=x"], "--marking count must be an integer: 'p=x'"),
         (["--marking", "p.HOME_ON..EXT=0"], "--marking holds no token"),
         (["--marking", "p.HOME_ON..EXT=-1"], "marking needs one non-negative count per place: "
-         "(('p.HOME_ON..EXT', -1),)"),
+         "{{p.HOME_ON..EXT=-1}}"),
         (["--marking", "p.HOME_ON..EXT=1,p.HOME_ON..EXT=0"], "marking needs one non-negative "
-         "count per place: (('p.HOME_ON..EXT', 1), ('p.HOME_ON..EXT', 0))"),
+         "count per place: {{p.HOME_ON..EXT=1 p.HOME_ON..EXT=0}}"),
         (["--spec", "EF"], "parse error at 2: unexpected end of formula"),
         (["--component", "XX"], "--component 'XX' matches no event; the log holds events of HC"),
         (["mine"], "either --log or --fixture is required"),
@@ -387,11 +459,21 @@ class TestStages:
         (["mine", "--log", "{dir}/missing.csv"], "cannot read {dir}/missing.csv: [Errno 2] "
          "No such file or directory: '{dir}/missing.csv'"),
         (["mine", "--log", "{dir}/bad.csv"], "bad timestamp at line 2: 'notatime'"),
+        (["--actionmap", "{dir}/bad_map.txt"], "parse error at 2: bad classification "
+         "'sensor HOME'"),
+        (["transform", "--log", "{dir}/log.csv", "--actionmap", "{dir}/missing.txt"],
+         "cannot read {dir}/missing.txt: [Errno 2] No such file or directory: "
+         "'{dir}/missing.txt'"),
+        (["emit-smv", "--log", "{dir}/log.csv", "--actionmap", "{dir}/map.txt",
+          "--controller", "{dir}/bad_ctl.txt"], "parse error at 1: unrecognized line 'bad line'"),
+        (["--controller", "{dir}/missing.txt"], "cannot read {dir}/missing.txt: [Errno 2] "
+         "No such file or directory: '{dir}/missing.txt'"),
     ], ids=["zero-bound", "marking-syntax", "marking-count", "zero-marking", "negative-marking",
             "repeated-place", "spec-syntax", "unknown-component",
             "no-source", "transform-without-actionmap", "pipeline-without-actionmap",
             "emit-smv-without-controller", "zero-traces", "empty-cycles", "cycles-syntax",
-            "cycles-integers", "missing-log", "bad-timestamp"])
+            "cycles-integers", "missing-log", "bad-timestamp", "bad-actionmap",
+            "missing-actionmap", "bad-controller", "missing-controller"])
     def test_option_error_writes_no_artifact(self, tmp_path, capsys, argv, message):
         # found before the first write, so no stage line or artifact appears
         out = tmp_path / "out"
@@ -400,6 +482,8 @@ class TestStages:
         write_inputs(tmp_path)
         (tmp_path / "bad.csv").write_text("processId,timestamp,component,action\n"
                                           "1,notatime,HC,EXT\n")
+        (tmp_path / "bad_map.txt").write_text("EXT: control\nHOME_ON: sensor HOME\n")
+        (tmp_path / "bad_ctl.txt").write_text("bad line\n")
         capsys.readouterr()
         argv = [arg.format(dir=tmp_path) for arg in argv]
         assert run(*argv, "--out", str(out)) == 2
