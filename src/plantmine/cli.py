@@ -256,14 +256,18 @@ def _execute(args: argparse.Namespace) -> int:
     else:
         log = fixture.simulate_two_cylinder(config, args.seed)
 
-    # --- mine: filter, group, export, discover ---------------------------
-    # The component is checked before a simulated log is written.
+    # --- mine: filter, group, discover, export ---------------------------
+    # The component and the actions are checked before a simulated log is
+    # written: the miner refuses an empty log or an action named like a
+    # boundary place.
     if args.command != "simulate":
         filtered = eventlog.filter_component(log, args.component)
         if log and not filtered:
             present = ", ".join(sorted({component for _, _, component, _ in log}))
             raise UsageError(f"--component {args.component!r} matches no event; "
                              f"the log holds events of {present}")
+        traces = eventlog.group_traces(filtered)
+        net = discovery.alpha_discover(traces)
     # Made only now, so an error found while reading the log leaves no --out.
     args.out.mkdir(parents=True, exist_ok=True)
     if log_path is None:
@@ -271,9 +275,7 @@ def _execute(args: argparse.Namespace) -> int:
         if stages.done("simulate", []):
             return 0
     _atomic_write(artifact("filtered"), eventlog.iter_csv(filtered))
-    traces = eventlog.group_traces(filtered)
     _atomic_write(artifact("xes"), eventlog.iter_xes(traces))
-    net = discovery.alpha_discover(traces)
     pnml_path = stages.write(artifact("pnml"), [petri.export_pnml(net)])
     print(f"mined net: {len(net.places)} places, {len(net.transitions)} transitions, "
           f"{len(net.arcs)} arcs")

@@ -5,12 +5,14 @@ finite Kripke structure under pending-event semantics: at most one event is
 in flight, the plant moves spontaneously only while no event is pending, and
 a pending event is consumed by its addressee before anything else happens.
 CTL properties are then checked by worklist labeling in the manner of Clarke,
-Emerson and Sistla (TOPLAS 1986) on byte-vector state sets: predecessor lists
-of state indexes are built once with the structure, EX is a union over
-predecessors, EU/EF a backward breadth-first search and EG a successor-count
-worklist, so each operator costs O(|S|+|R|).
-The breadth-first walk :func:`plantmine.petri.explore` builds the product and
-finds each failing AG property's shortest counterexample path.  One renderer
+Emerson and Sistla (TOPLAS 1986) on byte-vector state sets: predecessor and
+successor lists of state indexes are built once with the structure, EX is a
+union over predecessors, EU/EF a backward breadth-first search and EG a
+successor-count worklist, so each operator costs O(|S|+|R|); an atom is one
+pass over the label columns that can hold it.
+The breadth-first walk :func:`plantmine.petri.explore` builds the product; a
+breadth-first walk over the successor lists finds each failing AG property's
+shortest counterexample path.  One renderer
 prints formulas both for the report (:func:`render_ctl`) and, with NuSMV's
 spelling and atoms, for the ``CTLSPEC`` lines of :mod:`plantmine.smv`.
 """
@@ -22,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import contains
+from operator import contains, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (AlphabetMismatch, NondeterministicController, ParseError,
@@ -158,13 +160,36 @@ def _check_wiring(plant: FunctionBlock, ctl: ControllerFSM) -> None:
             f"outputs {sorted(same_direction_out)}, inputs {sorted(same_direction_in)}")
 
 
+class _StateLabels(Mapping):
+    """Labels kept as columns of shared sets: a state's set is built when it is read.
+
+    Each column holds one label container per state, in state order; a
+    state's labels are the union of its entries.
+    """
+
+    def __init__(self, states: tuple, columns: tuple[list, ...]) -> None:
+        self.index = {state: i for i, state in enumerate(states)}
+        self.columns = columns
+
+    def __getitem__(self, state) -> frozenset:
+        i = self.index[state]
+        return frozenset().union(*(column[i] for column in self.columns))
+
+    def __iter__(self) -> Iterator:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 @dataclass(frozen=True)
 class KripkeStructure:
     """Total transition system with propositional labels.
 
     ``successors`` maps each state to its outgoing (edge label, target)
-    pairs in a fixed order; every state has at least one successor.  A state
-    with no ``labels`` entry carries no labels.
+    pairs in a fixed order; every state has at least one successor.
+    ``labels`` may be any mapping of states to sets of atoms; a state with no
+    ``labels`` entry carries no labels.
     """
 
     states: tuple
@@ -173,9 +198,12 @@ class KripkeStructure:
     labels: Mapping
     atoms: frozenset[str]
     diagnostics: tuple[Diagnostic, ...] = ()
-    # by state index; one predecessor entry per edge, so parallel edges repeat
+    # by state index; one entry per edge, so parallel edges repeat
     _predecessors: list[list[int]] = field(init=False, repr=False, compare=False)
-    _label_list: list[frozenset] = field(init=False, repr=False, compare=False)
+    _targets: list[list[int]] = field(init=False, repr=False, compare=False)
+    # (column, the atoms its containers hold): a plain mapping is one column
+    _label_columns: tuple[tuple[list, frozenset], ...] = field(init=False, repr=False,
+                                                               compare=False)
 
     def __post_init__(self) -> None:
         index = {state: i for i, state in enumerate(self.states)}
@@ -184,19 +212,32 @@ class KripkeStructure:
         if self.initial not in index:
             raise ValueError("initial state missing from state set")
         predecessors: list[list[int]] = [[] for _ in self.states]
-        label_list = [self.labels.get(state, frozenset()) for state in self.states]
-        for i, (state, labels) in enumerate(zip(self.states, label_list)):
+        targets: list[list[int]] = []
+        for i, state in enumerate(self.states):
             succs = self.successors.get(state, ())
             if not succs:
                 raise ValueError(f"state {state!r} has no successor")
+            out = []
             for _, target in succs:
                 if target not in index:
                     raise ValueError(f"successor of {state!r} outside the state set")
+                out.append(index[target])
                 predecessors[index[target]].append(i)
-            if not labels <= self.atoms:
+            targets.append(out)
+        columns = (self.labels.columns if isinstance(self.labels, _StateLabels)
+                   else ([self.labels.get(state, frozenset()) for state in self.states],))
+        label_columns = []
+        for column in columns:
+            # each distinct container once: compose's columns share them
+            held = frozenset().union(*{id(labels): labels for labels in column}.values())
+            if not held <= self.atoms:
+                state = next(state for state in self.states
+                             if not self.labels.get(state, frozenset()) <= self.atoms)
                 raise ValueError(f"labels of {state!r} not declared as atoms")
+            label_columns.append((column, held))
         object.__setattr__(self, "_predecessors", predecessors)
-        object.__setattr__(self, "_label_list", label_list)
+        object.__setattr__(self, "_targets", targets)
+        object.__setattr__(self, "_label_columns", tuple(label_columns))
 
 
 def compose(plant: FunctionBlock, ctl: ControllerFSM,
@@ -223,13 +264,8 @@ def compose(plant: FunctionBlock, ctl: ControllerFSM,
     """
     _check_wiring(plant, ctl)
 
-    atoms = set(plant.sensor_vars)
-    atoms.update(f"plant_state={s.name}" for s in plant.states)
-    atoms.update(f"ctl_state={c}" for c in ctl.states)
-
-    def labels_of(state: CompositeState) -> frozenset[str]:
-        return plant.state(state.plant).valuation | {f"plant_state={state.plant}",
-                                                     f"ctl_state={state.ctl}"}
+    plant_atom = {s.name: f"plant_state={s.name}" for s in plant.states}
+    ctl_atom = {c: f"ctl_state={c}" for c in ctl.states}
 
     def successors_of(state: CompositeState) -> tuple[tuple[str, CompositeState], ...]:
         p, c, pending = state
@@ -265,10 +301,15 @@ def compose(plant: FunctionBlock, ctl: ControllerFSM,
                              plant.emission(plant.initial_state))
     successors = dict(explore(initial, successors_of, bound))
     ordered_diags = tuple(sorted(diagnostics, key=lambda d: (d.kind, str(d.state), d.event)))
-    return KripkeStructure(states=tuple(successors), initial=initial,
-                           successors=successors,
-                           labels={state: labels_of(state) for state in successors},
-                           atoms=frozenset(atoms), diagnostics=ordered_diags)
+    states = tuple(successors)
+    # Two references per state, never a union: the plant state's shared
+    # valuation and the pair of state atoms.  The columns hold no reference
+    # to the block.
+    labels = _StateLabels(states, ([plant.state(p).valuation for p, _, _ in states],
+                                   [(plant_atom[p], ctl_atom[c]) for p, c, _ in states]))
+    atoms = frozenset(chain(plant.sensor_vars, plant_atom.values(), ctl_atom.values()))
+    return KripkeStructure(states=states, initial=initial, successors=successors,
+                           labels=labels, atoms=atoms, diagnostics=ordered_diags)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +670,9 @@ def satisfying_states(k: KripkeStructure, formula: Formula,
             case Atom(name):
                 if name not in k.atoms:
                     raise UnknownAtom(name)
-                return int.from_bytes(bytes(map(contains, k._label_list, repeat(name))),
-                                      "little")
+                return reduce(or_, (int.from_bytes(bytes(map(contains, column, repeat(name))),
+                                                   "little")
+                                    for column, held in k._label_columns if name in held), 0)
             case Not(operand):
                 return ones ^ sat(operand)
             case And(left, right):
@@ -662,35 +704,49 @@ def satisfying_states(k: KripkeStructure, formula: Formula,
     return frozenset(compress(k.states, sat(formula).to_bytes(n, "little")))
 
 
-def _shortest_violation(k: KripkeStructure, good: frozenset) -> tuple[PathStep, ...] | None:
-    """Breadth-first path from the initial state to the nearest state outside ``good``, if any."""
-    if len(good) == len(k.states):  # no state is outside: nothing to search
+def _shortest_violation(k: KripkeStructure, bad: frozenset) -> tuple[PathStep, ...] | None:
+    """Breadth-first path from the initial state to the nearest state in ``bad``, if any.
+
+    The walk runs on state indexes over the successor lists.  States are
+    taken in discovery order, so the first one in ``bad`` is a nearest, and
+    each state keeps its first discoverer as its parent.
+    """
+    if not bad:
         return None
-    # States come in discovery order, so the first one outside good is a
-    # nearest, and setdefault keeps each state's first discoverer.
-    parents: dict = {k.initial: (None, None)}
-    for state, out in explore(k.initial, k.successors.__getitem__, len(k.states)):
-        if state not in good:
-            steps: list[PathStep] = []
-            while state is not None:
-                parent, label = parents[state]
-                steps.append(PathStep(label, state))
-                state = parent
-            return tuple(reversed(steps))
-        for label, target in out:
-            parents.setdefault(target, (state, label))
-    return None  # every state outside good is unreachable
+    states, targets = k.states, k._targets
+    violating = bytes(map(bad.__contains__, states))
+    start = states.index(k.initial)
+    parent = [-1] * len(states)
+    parent[start] = start
+    queue = [start]
+    for s in queue:  # grows while it is walked
+        if violating[s]:
+            break
+        for t in targets[s]:
+            if parent[t] < 0:
+                parent[t] = s
+                queue.append(t)
+    else:
+        return None  # every state in bad is unreachable
+    steps = []
+    while s != start:  # back along the first edge from each discoverer
+        before = parent[s]
+        label = k.successors[states[before]][targets[before].index(s)][0]
+        steps.append(PathStep(label, states[s]))
+        s = before
+    steps.append(PathStep(None, k.initial))
+    return tuple(reversed(steps))
 
 
 def check_ctl(k: KripkeStructure, formula: Formula) -> Verdict:
     """Check a CTL formula on a Kripke structure.
 
     The verdict holds iff the initial state satisfies the formula.  A
-    top-level AG holds iff no state outside its operand's states is
-    reachable, and fails with a shortest path to one as the counterexample;
-    other failing shapes report no witness.
+    top-level AG holds iff no state where its operand fails is reachable,
+    and fails with a shortest path to one as the counterexample; other
+    failing shapes report no witness.
     """
     if isinstance(formula, AG):
-        path = _shortest_violation(k, satisfying_states(k, formula.operand))
+        path = _shortest_violation(k, satisfying_states(k, Not(formula.operand)))
         return Verdict(path is None, path)
     return Verdict(k.initial in satisfying_states(k, formula))

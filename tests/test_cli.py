@@ -459,6 +459,9 @@ class TestStages:
         (["mine", "--log", "{dir}/missing.csv"], "cannot read {dir}/missing.csv: [Errno 2] "
          "No such file or directory: '{dir}/missing.csv'"),
         (["mine", "--log", "{dir}/bad.csv"], "bad timestamp at line 2: 'notatime'"),
+        (["mine", "--log", "{dir}/boundary.csv"],
+         "actions named 'source'/'sink' clash with boundary places"),
+        (["mine", "--log", "{dir}/empty.csv"], "event log contains no events"),
         (["--actionmap", "{dir}/bad_map.txt"], "parse error at 2: bad classification "
          "'sensor HOME'"),
         (["transform", "--log", "{dir}/log.csv", "--actionmap", "{dir}/missing.txt"],
@@ -472,7 +475,8 @@ class TestStages:
             "repeated-place", "spec-syntax", "unknown-component",
             "no-source", "transform-without-actionmap", "pipeline-without-actionmap",
             "emit-smv-without-controller", "zero-traces", "empty-cycles", "cycles-syntax",
-            "cycles-integers", "missing-log", "bad-timestamp", "bad-actionmap",
+            "cycles-integers", "missing-log", "bad-timestamp", "action-named-source",
+            "empty-log", "bad-actionmap",
             "missing-actionmap", "bad-controller", "missing-controller"])
     def test_option_error_writes_no_artifact(self, tmp_path, capsys, argv, message):
         # found before the first write, so no stage line or artifact appears
@@ -482,6 +486,10 @@ class TestStages:
         write_inputs(tmp_path)
         (tmp_path / "bad.csv").write_text("processId,timestamp,component,action\n"
                                           "1,notatime,HC,EXT\n")
+        (tmp_path / "boundary.csv").write_text("processId,timestamp,component,action\n"
+                                               "1,2021-05-10T10:00:00Z,HC,source\n"
+                                               "1,2021-05-10T10:00:01Z,HC,EXT\n")
+        (tmp_path / "empty.csv").write_text("processId,timestamp,component,action\n")
         (tmp_path / "bad_map.txt").write_text("EXT: control\nHOME_ON: sensor HOME\n")
         (tmp_path / "bad_ctl.txt").write_text("bad line\n")
         capsys.readouterr()

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import random
+import tracemalloc
 from collections.abc import Mapping
 from itertools import permutations
 
@@ -19,7 +21,7 @@ from plantmine.verify import (AF, AG, AU, AX, EF, EG, EU, EX, MAX_CTL_DEPTH, And
                               PathStep, check_ctl, compose, parse_controller,
                               parse_ctl, render_ctl, satisfying_states)
 
-from helpers import (ctl_oracle, random_controller, random_formula,
+from helpers import (ctl_oracle, independent_cylinders, random_controller, random_formula,
                      random_kripke, random_multi_kripke, random_plant_fsm,
                      render_ctl_reference, satisfying_states_reference,
                      transfer_line)
@@ -114,6 +116,17 @@ class TestParseController:
             parse_controller(text)
 
 
+def closed_loops(seed: int):
+    """transfer_line(3), independent_cylinders(2) and 20 random plants with random controllers."""
+    yield transfer_line(3)
+    yield independent_cylinders(2)
+    rng = random.Random(seed)
+    for _ in range(20):
+        fsm, amap, initial = random_plant_fsm(rng, max_states=8)
+        plant = build_plant_fb(fsm, amap, initial)
+        yield plant, random_controller(rng, plant)
+
+
 class TestCompose:
     def test_fixture_loop_is_clean(self, fixture_kripke):
         assert fixture_kripke.diagnostics == ()
@@ -128,20 +141,60 @@ class TestCompose:
 
     def test_labels_are_the_valuation_and_both_states(self):
         fb, ctl = transfer_line(3)
-        loops = [(fb, ctl)]
         k = compose(fb, ctl)
         assert k.labels[k.initial] == {"HOME_A", "HOME_B", "HOME_C",
                                        f"plant_state={fb.initial_state}", "ctl_state=C_A_0"}
-        rng = random.Random(29)
-        for _ in range(20):
-            fsm, amap, initial = random_plant_fsm(rng, max_states=8)
-            plant = build_plant_fb(fsm, amap, initial)
-            loops.append((plant, random_controller(rng, plant)))
-        for plant, controller in loops:
+        foreign = CompositeState("nowhere", "C_A_0", None)
+        for plant, controller in closed_loops(29):
             k = compose(plant, controller)
-            for state in k.states:
-                assert k.labels[state] == plant.state(state.plant).valuation | {
+            assert isinstance(k.labels, Mapping)
+            assert dict(k.labels) == {
+                state: plant.state(state.plant).valuation | {
                     f"plant_state={state.plant}", f"ctl_state={state.ctl}"}
+                for state in k.states}
+            assert all(type(k.labels[state]) is frozenset for state in k.states)
+            assert len(k.labels) == len(k.states)
+            assert tuple(k.labels) == k.states
+            assert k.labels.get(foreign) is None
+            assert k.labels.get(foreign, "none") == "none"
+            assert foreign not in k.labels
+            with pytest.raises(KeyError):
+                k.labels[foreign]
+
+    def test_composed_labels_check_as_plain_labels(self):
+        # the shared columns answer every atom as a plain labels dict does
+        rng = random.Random(31)
+        for plant, controller in closed_loops(37):
+            k = compose(plant, controller)
+            plain = KripkeStructure(states=k.states, initial=k.initial,
+                                    successors=k.successors, labels=dict(k.labels),
+                                    atoms=k.atoms)
+            pool = tuple(sorted(k.atoms))
+            atoms = (tuple(plant.sensor_vars[:2])
+                     + tuple(rng.sample([a for a in pool if a.startswith("plant_state=")], 2))
+                     + tuple(rng.sample([a for a in pool if a.startswith("ctl_state=")], 1)))
+            for _ in range(10):
+                formula = random_formula(rng, atoms, depth=3)
+                assert satisfying_states(k, formula) == satisfying_states(plain, formula)
+                assert check_ctl(k, AG(formula)) == check_ctl(plain, AG(formula))
+
+    def test_label_memory_per_state_does_not_grow_with_latches(self):
+        # Deterministic tracemalloc bytes per composite state held after
+        # compose, the block already built: the labels are references to the
+        # block's shared valuations, not one union per state.  This reads
+        # 801 bytes on transfer_line(6) and 769 on transfer_line(24) (0.96x);
+        # with one frozenset per state it read 1,205 and 1,961 (1.63x).
+        per_state = {}
+        for cylinders in (6, 24):
+            fb, ctl = transfer_line(cylinders)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                k = compose(fb, ctl)
+                per_state[cylinders] = tracemalloc.get_traced_memory()[0] / len(k.states)
+            finally:
+                tracemalloc.stop()
+        assert per_state[24] <= 1.2 * per_state[6], per_state
 
     def test_ignored_event_diagnostic(self, fixture_fb):
         # a controller that never listens for HOME_OFF
@@ -640,6 +693,37 @@ class TestWorklistLabeling:
         assert successors.lookups <= depth + 1
         assert verdict.counterexample == tuple(
             PathStep(None if s == 0 else "next", s) for s in range(depth + 1))
+
+
+def first_discoverer_path(k, bad):
+    """The AG witness as a breadth-first walk over states keyed by state: first discoverer, first edge."""
+    parents, queue = {k.initial: None}, [k.initial]
+    for state in queue:
+        if state in bad:
+            steps = []
+            while parents[state] is not None:
+                label, before = parents[state]
+                steps.append(PathStep(label, state))
+                state = before
+            return (PathStep(None, state), *reversed(steps))
+        for label, target in k.successors[state]:
+            if target not in parents:
+                parents[target] = (label, state)
+                queue.append(target)
+    return None
+
+
+class TestWitnessWalk:
+    def test_same_path_as_a_walk_keyed_by_state(self):
+        rng = random.Random(59)
+        failing = 0
+        for _ in range(150):
+            k = random_multi_kripke(rng)
+            operand = random_formula(rng, ("p", "q", "r"), depth=2)
+            path = first_discoverer_path(k, satisfying_states(k, Not(operand)))
+            assert check_ctl(k, AG(operand)).counterexample == path
+            failing += path is not None
+        assert failing >= 50
 
 
 class TestClosedLoopWithRandomPlants:
